@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-386 test race registry-check bench bench-json bench-json-check fig5 fig5-plot fig5-real fairness stress clean
+.PHONY: all build build-386 test race registry-check bench bench-e2e bench-compare bench-json bench-json-check fig5 fig5-plot fig5-real fairness stress clean
 
 all: build test
 
@@ -32,6 +32,17 @@ registry-check:
 # micro-benchmarks, ablations).
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository benchmark (BENCHMARK.json; see bench/README.md): all
+# three workloads, end-to-end metrics, records appended to BENCH_OUT.
+BENCH_OUT ?= .bench_build/e2e.jsonl
+bench-e2e:
+	bash bench/run.sh -seed 1 -out $(BENCH_OUT)
+
+# Compare two -out files under the benchmark's own bounds, one row per
+# metric x workload: make bench-compare OLD=parent.jsonl NEW=change.jsonl
+bench-compare:
+	bash bench/run.sh -compare $(OLD) $(NEW)
 
 # Machine-readable BRAVO read-ratio sweep on the simulated T5440
 # (biased vs unbiased, mean of 3 seeded runs; deterministic). The

@@ -245,8 +245,11 @@ func runChaosCell(c chaosCombo, threads, ops int, seed uint64, timeout time.Dura
 		if n := pc.NodesInUse(); n > 1 {
 			return fmt.Sprintf("ring pool: %d nodes in use after quiescence, want <= 1 (leaked node)", n)
 		}
+		// Idle covers the pool too: every free ring node must be back
+		// at rest (no stale link, flag lowered, indicator closed and
+		// drained) — the state the enqueue sites' elided resets assume.
 		if !pc.Idle() {
-			return "lock not idle after quiescence"
+			return "lock not idle after quiescence (queue occupied, or a free ring node not at rest)"
 		}
 	}
 	if cnt, ok := ollock.ChaosCountOf(l); ok && cnt == 0 && ops*threads >= 1000 {

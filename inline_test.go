@@ -1,0 +1,121 @@
+package ollock_test
+
+import (
+	"bufio"
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// inlineBudget is the checked-in list of fast-path calls that must
+// compile to no call at all: the nil-guarded instrumentation helpers,
+// the ticket and grant-flag probes, and the deadline's no-bound check.
+// Each entry pairs the source spelling of a call with the callee name
+// the compiler prints for it; every occurrence in the algorithm
+// packages must show up in the compiler's inlining report at its own
+// line. Several sit within a node or two of the inliner's budget (and
+// the park ones inline only because lockcore carries their bodies
+// across the alias hop), so an innocent edit can push one out of line
+// — a per-acquisition call the benchmark would see as a nanosecond or
+// two with no diff to blame.
+var inlineBudget = []struct {
+	src    *regexp.Regexp
+	callee string
+}{
+	{regexp.MustCompile(`\bpi\.Inc\(`), "lockcore.ProcInstr.Inc"},
+	{regexp.MustCompile(`\bpi\.Now\(\)`), "lockcore.ProcInstr.Now"},
+	{regexp.MustCompile(`\bpi\.ProfTick\(\)`), "lockcore.ProcInstr.ProfTick"},
+	{regexp.MustCompile(`\bpi\.Acquired\(`), "lockcore.ProcInstr.Acquired"},
+	{regexp.MustCompile(`\bpi\.Released\(`), "lockcore.ProcInstr.Released"},
+	{regexp.MustCompile(`\bflag\.Blocked\(\)`), "park.(*Flag).Blocked"},
+	{regexp.MustCompile(`\.Arrived\(\)`), "rind.Ticket.Arrived"},
+	{regexp.MustCompile(`\bdl\.Expired\(\)`), "park.Deadline.Expired"},
+}
+
+// inlineWrappers are the untimed entry points that must themselves be
+// inlinable in each of inlineWrapperPkgs, so a caller holding a
+// concrete *Proc reaches the acquisition core in one call.
+var (
+	inlineWrapperPkgs = []string{"goll", "foll", "roll"}
+	inlineWrappers    = []string{"(*Proc).RLock", "(*Proc).Lock"}
+)
+
+// TestInliningBudget compiles the internal packages with the inlining
+// report on and fails if any call site on the budget list, or any
+// wrapper, stopped inlining.
+func TestInliningBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the compiler; skipped with -short")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	cmd := exec.Command(goTool, "build", "-gcflags=-m", "./internal/...")
+	var report bytes.Buffer
+	cmd.Stderr = &report
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("go build -gcflags=-m: %v\n%s", err, report.String())
+	}
+	inlined := map[string]bool{}   // "file:line callee"
+	inlinable := map[string]bool{} // "dir func"
+	callRE := regexp.MustCompile(`^(\S+?):(\d+):\d+: inlining call to (.+)$`)
+	canRE := regexp.MustCompile(`^(\S+?)/[^/]+\.go:\d+:\d+: can inline (\S+)`)
+	sc := bufio.NewScanner(&report)
+	sc.Buffer(nil, 1<<20) // generic instantiations print very long lines
+	for sc.Scan() {
+		if m := callRE.FindStringSubmatch(sc.Text()); m != nil {
+			inlined[m[1]+":"+m[2]+" "+m[3]] = true
+		} else if m := canRE.FindStringSubmatch(sc.Text()); m != nil {
+			inlinable[m[1]+" "+m[2]] = true
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("reading the inlining report: %v", err)
+	}
+
+	sites := 0
+	for _, pkg := range []string{"goll", "foll", "roll", "bravo", "central"} {
+		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				code, _, _ := strings.Cut(line, "//")
+				for _, b := range inlineBudget {
+					if !b.src.MatchString(code) {
+						continue
+					}
+					sites++
+					key := filepath.ToSlash(path) + ":" + strconv.Itoa(i+1) + " " + b.callee
+					if !inlined[key] {
+						t.Errorf("%s:%d: call to %s is no longer inlined: %s", path, i+1, b.callee, strings.TrimSpace(code))
+					}
+				}
+			}
+		}
+	}
+	if sites < 100 {
+		t.Errorf("matched only %d budgeted call sites — did the source spellings change?", sites)
+	}
+	for _, pkg := range inlineWrapperPkgs {
+		for _, fn := range inlineWrappers {
+			if !inlinable["internal/"+pkg+" "+fn] {
+				t.Errorf("internal/%s: %s is no longer inlinable", pkg, fn)
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ package foll
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"ollock/internal/lockcore"
@@ -109,9 +110,8 @@ func (p *Proc) TryRLock() bool {
 	switch {
 	case tail == nil:
 		rNode := p.allocReaderNode()
+		rNode.reset()
 		rNode.flag.Set(false)
-		rNode.gstate.Store(gLive)
-		rNode.qNext.Store(nil)
 		if !l.tail.CompareAndSwap(nil, rNode) {
 			freeReaderNode(rNode)
 			return false
@@ -159,8 +159,7 @@ func (p *Proc) TryLock() bool {
 	t0 := p.pi.Now()
 	pt := p.pi.ProfTick()
 	w := p.wNode
-	w.qNext.Store(nil)
-	w.gstate.Store(gLive)
+	w.reset()
 	if !l.tail.CompareAndSwap(nil, w) {
 		return false
 	}
@@ -234,12 +233,54 @@ func (l *RWLock) NodesInUse() int {
 	return c
 }
 
-// Idle reports whether the lock is free (diagnostic; exact only at
-// quiescence): either the queue is empty, or the tail is a drained
-// reader group — an open, zero-surplus, unblocked reader node, which
-// is how the lock rests after read-mostly traffic (the node stays in
-// place for future readers to join).
+// restFault names the first way n, a node outside the queue — a free
+// ring node, or a proc's writer node between acquisitions — departs
+// from the resting state ("" if none): no queue link, no abandoned grant
+// word, and for a ring node a lowered flag over a closed, drained
+// indicator. From rest, reset and Flag.Set make a node canonical
+// storing at most the two words a finished acquisition may leave
+// behind: the grant word (gGranted after a delivered grant) and the
+// flag.
+func (n *Node) restFault() string {
+	switch {
+	case n.qNext.Load() != nil:
+		return "stale qNext"
+	case n.gstate.Load() == gAbandoned:
+		return "abandoned grant word"
+	case n.kind == kindWriter:
+		return ""
+	case n.flag.Blocked():
+		return "raised flag"
+	}
+	if nonzero, open := n.ind.Query(); nonzero || open {
+		return "indicator not closed and drained"
+	}
+	return ""
+}
+
+// ringFault names the first free ring node that is not at rest ("" if
+// none).
+func (l *RWLock) ringFault() string {
+	for i := range l.ring {
+		if n := &l.ring[i]; n.allocState.Load() == allocFree {
+			if f := n.restFault(); f != "" {
+				return fmt.Sprintf("free ring node %d: %s", i, f)
+			}
+		}
+	}
+	return ""
+}
+
+// Idle reports whether the lock is free and its pool clean
+// (diagnostic; exact only at quiescence): every free ring node is at
+// rest (see restFault), and either the queue is empty, or the tail is
+// a drained reader group — an open, zero-surplus, unblocked reader
+// node, which is how the lock rests after read-mostly traffic (the
+// node stays in place for future readers to join).
 func (l *RWLock) Idle() bool {
+	if l.ringFault() != "" {
+		return false
+	}
 	n := l.tail.Load()
 	if n == nil {
 		return true

@@ -52,9 +52,9 @@ const (
 // abandoned node (the granter skips it; see grant) and an abandonment
 // never swallows an in-flight grant (the canceler that loses the race
 // must collect the acquisition and release it normally). Reader nodes
-// are reset to gLive at every enqueue but never abandoned — canceling
-// readers leave through the indicator's Depart accounting, which keeps
-// the §4.2.1 pool invariant intact.
+// enter the queue gLive like any other (see reset) but are never
+// abandoned — canceling readers leave through the indicator's Depart
+// accounting, which keeps the §4.2.1 pool invariant intact.
 const (
 	gLive uint32 = iota
 	gGranted
@@ -77,6 +77,25 @@ type Node struct {
 	ind        rind.Indicator // closed whenever the node is not enqueued
 	allocState atomic.Uint32
 	ringNext   *Node // immutable ring pointer for the pool
+}
+
+// reset brings a private node — a proc's own writer node between
+// acquisitions, or a ring node between allocation and enqueue — to the
+// canonical state every node enters the queue in: no successor, grant
+// word live. The flag is the enqueue site's to set (Flag.Set follows
+// the same rule). Each word is loaded and stored only if it differs:
+// an atomic store is a locked instruction, a node almost always comes
+// back clean (release paths clear qNext; only a delivered grant
+// dirties gstate), and the node is private, so eliding a store of the
+// value already there is unobservable. Every enqueue site goes through
+// here, so the empty-queue writer path is one Swap and one CAS.
+func (n *Node) reset() {
+	if n.qNext.Load() != nil {
+		n.qNext.Store(nil)
+	}
+	if n.gstate.Load() != gLive {
+		n.gstate.Store(gLive)
+	}
 }
 
 // RWLock is a FOLL reader-writer lock for up to a fixed number of
@@ -225,6 +244,32 @@ func (l *RWLock) grant(n *Node, id int, tr *lockcore.TraceLocal) {
 // RLock acquires the lock for reading.
 func (p *Proc) RLock() { p.rlock(lockcore.Deadline{}) }
 
+// awaitGroup waits for the grant of reader group n, which the caller
+// has joined with ticket t, or retracts the arrival when dl expires
+// first; it reports whether the group was granted. The wait call — and
+// the Deadline it carries — is reached only when the inlined Blocked
+// load says the group is still waiting.
+func (p *Proc) awaitGroup(n *Node, t rind.Ticket, dl lockcore.Deadline) bool {
+	p.pi.Begin(lockcore.PhaseSpinWait)
+	if n.flag.WaitUntil(p.l.in.Wait, p.id, p.pi.TR, dl) {
+		return true
+	}
+	p.departAbandoned(n, t)
+	p.abandon(lockcore.PhaseSpinWait, dl)
+	return false
+}
+
+// unalloc returns a ring node that was allocated for an enqueue that
+// never happened (nil when there is none). A failed enqueue CAS behind
+// a writer leaves the node's flag raised; it is lowered so the node
+// rests clean like any other free node.
+func unalloc(rNode *Node) {
+	if rNode != nil {
+		rNode.flag.Set(false)
+		freeReaderNode(rNode)
+	}
+}
+
 // rlock is the read-acquisition core, shared by RLock (zero deadline,
 // which never expires) and the timed variants in deadline.go. It
 // reports whether the lock was acquired.
@@ -235,11 +280,9 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 	slow := false
 	var rNode *Node
 	for {
-		if !dl.None() && dl.Expired() {
+		if dl.Expired() {
 			// Not enqueued and holding no arrival: just walk away.
-			if rNode != nil {
-				freeReaderNode(rNode)
-			}
+			unalloc(rNode)
 			p.abandon(0, dl)
 			return false
 		}
@@ -252,9 +295,8 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			if rNode == nil {
 				rNode = p.allocReaderNode()
 			}
+			rNode.reset()
 			rNode.flag.Set(false)
-			rNode.gstate.Store(gLive)
-			rNode.qNext.Store(nil)
 			if !l.tail.CompareAndSwap(nil, rNode) {
 				slow = true
 				continue // tail changed; retry (keep rNode)
@@ -283,9 +325,8 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			if rNode == nil {
 				rNode = p.allocReaderNode()
 			}
+			rNode.reset()
 			rNode.flag.Set(true)
-			rNode.gstate.Store(gLive)
-			rNode.qNext.Store(nil)
 			if !l.tail.CompareAndSwap(tail, rNode) {
 				slow = true
 				continue
@@ -296,12 +337,7 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			rNode.ind.Open()
 			t := rNode.ind.ArriveLocal(p.id, p.pi.LC)
 			if t.Arrived() {
-				if p.pi.Tracing() && rNode.flag.Blocked() {
-					p.pi.Begin(lockcore.PhaseSpinWait)
-				}
-				if !rNode.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
-					p.departAbandoned(rNode, t)
-					p.abandon(lockcore.PhaseSpinWait, dl)
+				if rNode.flag.Blocked() && !p.awaitGroup(rNode, t, dl) {
 					return false
 				}
 				p.departFrom = rNode
@@ -319,16 +355,9 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			t := tail.ind.ArriveLocal(p.id, p.pi.LC)
 			if t.Arrived() {
 				p.pi.Inc(lockcore.FOLLReadJoin)
-				if rNode != nil {
-					freeReaderNode(rNode) // allocated but never enqueued
-				}
+				unalloc(rNode)
 				blocked := tail.flag.Blocked()
-				if p.pi.Tracing() && blocked {
-					p.pi.Begin(lockcore.PhaseSpinWait)
-				}
-				if !tail.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
-					p.departAbandoned(tail, t)
-					p.abandon(lockcore.PhaseSpinWait, dl)
+				if blocked && !p.awaitGroup(tail, t, dl) {
 					return false
 				}
 				p.departFrom = tail
@@ -381,8 +410,7 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 	pt := p.pi.ProfTick()
 	w0 := l.in.SpanStart()
 	w := p.wNode
-	w.qNext.Store(nil)
-	w.gstate.Store(gLive)
+	w.reset()
 	oldTail := l.tail.Swap(w)
 	if oldTail == nil {
 		p.pi.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteRoot)
@@ -395,7 +423,7 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 	p.pi.Emit(lockcore.KindQueueEnqueue, 0, 1)
 	if oldTail.kind == kindWriter {
 		p.pi.BeginAt(t0, lockcore.PhaseQueueWait)
-		if !w.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
+		if w.flag.Blocked() && !w.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
 			return p.cancelWriteWait(dl, t0, pt, lockcore.PhaseQueueWait)
 		}
 		p.pi.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteDirect)
@@ -418,7 +446,7 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 	if closedEmpty {
 		// Closed empty: no readers will signal us. Wait for the
 		// predecessor node's own grant and recycle it ourselves.
-		if !oldTail.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
+		if oldTail.flag.Blocked() && !oldTail.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
 			// Duty-phase abandonment: closing the predecessor committed
 			// us to recycling it and to the write acquisition that
 			// follows — neither can be unwound. Detach both onto a
@@ -437,7 +465,7 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 		return true
 	}
 	// Readers exist: the last departer will signal us.
-	if !w.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
+	if w.flag.Blocked() && !w.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
 		return p.cancelWriteWait(dl, t0, pt, lockcore.PhaseDrainWait)
 	}
 	p.pi.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteDirect)

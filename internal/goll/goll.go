@@ -119,8 +119,9 @@ func (l *RWLock) NewProc() *Proc {
 func (p *Proc) RLock() { p.rlock(lockcore.Deadline{}) }
 
 // rlock is the deadline-threaded read-acquire core; a zero deadline
-// reproduces the untimed paths (the timed branches cost one None/
-// Expired branch each, nothing on the conflict-free fast path).
+// reproduces the untimed paths (each expiry check is Deadline.Expired's
+// inlined no-bound compare, and none sits on the conflict-free fast
+// path).
 //
 // Cancellation protocol: a queued GOLL reader holds no indicator
 // arrival — its DirectTicket is only a token telling RUnlock how to
@@ -152,7 +153,7 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			p.pi.BeginAt(t0, lockcore.PhaseArrive)
 		}
 		p.pi.Emit(lockcore.KindArriveFail, 0, 0)
-		if !dl.None() && dl.Expired() {
+		if dl.Expired() {
 			p.abandon(lockcore.PhaseArrive, lockcore.GOLLTimeout, lockcore.GOLLCancel, dl)
 			return false
 		}
@@ -266,7 +267,7 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 		return true
 	}
 	p.pi.BeginAt(t0, lockcore.PhaseArrive)
-	if !dl.None() && dl.Expired() {
+	if dl.Expired() {
 		p.abandon(lockcore.PhaseArrive, lockcore.GOLLTimeout, lockcore.GOLLCancel, dl)
 		return false
 	}

@@ -147,8 +147,10 @@ func WaitCondUntil(pol *Policy, id int, tr *TraceLocal, cond func() bool, dl Dea
 // time, a context, both, or neither. The zero value means "no bound"
 // and routes every wait to the untimed code paths, which is how the
 // plain RLock/Lock entry points share their slow paths with the timed
-// ones at the cost of one branch. See internal/park for the timeout/
-// unpark race protocol.
+// ones at the cost of one compare: the value is three words (it
+// travels through the cores in registers) and Expired's no-bound check
+// is its whole inlined body. See internal/park for the representation
+// and the timeout/unpark race protocol.
 type Deadline = park.Deadline
 
 // After returns a deadline d from now.
@@ -161,8 +163,23 @@ func At(t time.Time) Deadline { return park.DeadlineAt(t) }
 // ctx's own deadline, if any).
 func FromContext(ctx context.Context) Deadline { return park.DeadlineCtx(ctx) }
 
+// The algorithm packages call Flag.Blocked, Flag.Set and
+// Deadline.Expired on their fast paths through the aliases above,
+// without importing park. The compiler inlines a method across that
+// hop only when this package's export data carries the body, and it
+// carries only bodies this package has inlined itself — which is all
+// this function is for. Nothing calls it; the root package's
+// TestInliningBudget fails if those sites stop inlining.
+func inlinedThroughAliases(f *Flag, dl Deadline) bool {
+	f.Set(false)
+	return f.Blocked() || dl.Expired()
+}
+
+var _ = inlinedThroughAliases
+
 // CancelArg is the KindCancel trace event's Arg word for dl: 0 for a
-// clock expiry, 1 for a context cancellation.
+// timeout (the bound was a duration or an absolute time), 1 for a
+// cancellation (the bound came from a context — see Deadline.Canceled).
 func CancelArg(dl Deadline) uint64 {
 	if dl.Canceled() {
 		return 1
@@ -171,8 +188,8 @@ func CancelArg(dl Deadline) uint64 {
 }
 
 // CancelEvent picks the counter for an abandoned acquisition out of
-// the kind's (timeout, cancel) pair: context cancellations count as
-// cancel, clock expiries as timeout.
+// the kind's (timeout, cancel) pair: a context-driven deadline counts
+// as cancel whichever of its clocks fired first, any other as timeout.
 func CancelEvent(timeout, cancel Event, dl Deadline) Event {
 	if dl.Canceled() {
 		return cancel

@@ -94,11 +94,17 @@ type ProcInstr struct {
 
 // Inc counts one event through the proc's buffer (no-op when stats are
 // off); the shared cells are touched once per obs.FlushEvery events.
-func (pi ProcInstr) Inc(e Event) { pi.LC.Inc(e) }
+// The buffered increment sits four nodes past what the inliner would
+// accept here on top of obs.Local.Inc, so it stays out of line and the
+// stats-off site is the inlined nil check alone.
+func (pi ProcInstr) Inc(e Event) {
+	if pi.LC != nil {
+		incLocal(pi.LC, e)
+	}
+}
 
-// Tracing reports whether this proc's trace ring is live — the guard
-// for emissions that need extra work to compute their arguments.
-func (pi ProcInstr) Tracing() bool { return pi.TR != nil }
+//go:noinline
+func incLocal(lc *obs.Local, e Event) { lc.Inc(e) }
 
 // Now returns the trace clock, or 0 when tracing is off.
 func (pi ProcInstr) Now() int64 { return pi.TR.Now() }

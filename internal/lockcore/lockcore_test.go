@@ -22,9 +22,6 @@ func TestZeroInstrIsInert(t *testing.T) {
 	if pi.LC != nil || pi.TR != nil {
 		t.Errorf("zero Instr.NewProc returned non-nil locals: %+v", pi)
 	}
-	if pi.Tracing() {
-		t.Error("zero ProcInstr reports Tracing")
-	}
 	// All of these must be safe no-ops.
 	in.Inc(GOLLHandoff, 0)
 	in.Observe(GOLLWriteWait, 0, 42)
@@ -68,9 +65,6 @@ func TestInstrDelegation(t *testing.T) {
 	pi := in.NewProc(1)
 	if pi.LC == nil || pi.TR == nil {
 		t.Fatalf("NewProc dropped a view: %+v", pi)
-	}
-	if !pi.Tracing() {
-		t.Error("ProcInstr with a trace view reports not tracing")
 	}
 	pi.Inc(GOLLHandoff)
 	pi.Acquired(KindReadAcquired, pi.Now(), RouteRoot)

@@ -6,6 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"ollock/internal/foll"
+	"ollock/internal/lockcore"
+	"ollock/internal/rind"
+	"ollock/internal/roll"
 	"ollock/internal/xrand"
 )
 
@@ -179,49 +183,96 @@ func TestReaderBlocksWriter(t *testing.T) {
 // exclusion invariant via a guarded shared structure: each critical
 // section checks and perturbs a multi-word value that only exclusion
 // keeps consistent.
+// mixedStress runs goroutines procs of mk through iters random
+// acquisitions each at the given read ratio, checking a writer-guarded
+// pair on every one.
+func mixedStress(t *testing.T, mk ProcMaker, goroutines, iters int, ratio float64) {
+	t.Helper()
+	var a, b int64 // writer keeps a == b; readers verify
+	var wg sync.WaitGroup
+	var violations atomic.Int32
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			p := mk()
+			r := xrand.New(uint64(id+1) * 977)
+			for i := 0; i < iters; i++ {
+				if r.Bool(ratio) {
+					p.RLock()
+					if a != b {
+						violations.Add(1)
+					}
+					p.RUnlock()
+				} else {
+					p.Lock()
+					a++
+					if a != b+1 {
+						violations.Add(1)
+					}
+					b++
+					p.Unlock()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if v := violations.Load(); v != 0 {
+		t.Fatalf("read ratio %v: %d invariant violations", ratio, v)
+	}
+	if a != b {
+		t.Fatalf("read ratio %v: final a=%d b=%d", ratio, a, b)
+	}
+}
+
 func TestMixedStress(t *testing.T) {
 	readRatios := []float64{0.0, 0.5, 0.95, 1.0}
 	forEachLock(t, func(t *testing.T, impl Impl) {
 		for _, ratio := range readRatios {
 			const goroutines, iters = 10, 800
-			mk := impl.New(goroutines)
-			var a, b int64 // writer keeps a == b; readers verify
-			var wg sync.WaitGroup
-			var violations atomic.Int32
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					p := mk()
-					r := xrand.New(uint64(id+1) * 977)
-					for i := 0; i < iters; i++ {
-						if r.Bool(ratio) {
-							p.RLock()
-							if a != b {
-								violations.Add(1)
-							}
-							p.RUnlock()
-						} else {
-							p.Lock()
-							a++
-							if a != b+1 {
-								violations.Add(1)
-							}
-							b++
-							p.Unlock()
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			if v := violations.Load(); v != 0 {
-				t.Fatalf("read ratio %v: %d invariant violations", ratio, v)
-			}
-			if a != b {
-				t.Fatalf("read ratio %v: final a=%d b=%d", ratio, a, b)
-			}
+			mixedStress(t, impl.New(goroutines), goroutines, iters, ratio)
 		}
 	})
+}
+
+// TestQueueLocksRestAfterStress is the quiescence check of the
+// ring-pool locks, over every read indicator: once the mixed stress
+// drains, at most the resting reader group's node is still out of the
+// pool, and the lock is idle — which for FOLL and ROLL includes every
+// free ring node being back at rest, the state their enqueue sites'
+// elided reset stores rely on.
+func TestQueueLocksRestAfterStress(t *testing.T) {
+	type pool interface {
+		NodesInUse() int
+		Idle() bool
+	}
+	const goroutines, iters = 10, 800
+	for _, ind := range append([]string{"csnzi"}, lockcore.MatrixIndicators()...) {
+		f := rind.CSNZIFactory()
+		if ind != "csnzi" {
+			f = matrixFactory(ind)
+		}
+		fl := foll.New(goroutines, foll.WithIndicator(f))
+		rl := roll.New(goroutines, roll.WithIndicator(f))
+		for name, c := range map[string]struct {
+			mk ProcMaker
+			l  pool
+		}{
+			"foll-" + ind: {func() Proc { return fl.NewProc() }, fl},
+			"roll-" + ind: {func() Proc { return rl.NewProc() }, rl},
+		} {
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				mixedStress(t, c.mk, goroutines, iters, 0.5)
+				if n := c.l.NodesInUse(); n > 1 {
+					t.Fatalf("%d ring nodes in use at quiescence, want <= 1", n)
+				}
+				if !c.l.Idle() {
+					t.Fatal("not idle at quiescence (queue occupied, or a free ring node not at rest)")
+				}
+			})
+		}
+	}
 }
 
 // TestOversubscription checks progress with many more goroutines than

@@ -36,6 +36,7 @@ package park
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"time"
 
@@ -46,46 +47,85 @@ import (
 
 // Deadline bounds one wait: an absolute expiry time, a context, both,
 // or neither. The zero value means "no bound" and selects the untimed
-// code paths — passing it costs one branch. Deadlines are values;
+// code paths — passing it costs one compare. Deadlines are values;
 // construct with DeadlineAfter / DeadlineAt / DeadlineCtx.
+//
+// The representation is three words — the expiry as nanoseconds on the
+// package's monotonic clock, plus the context — so a Deadline travels
+// through the acquisition cores in registers, and None is a single
+// compare of when: every bounded deadline has a nonzero when (a
+// context without a deadline of its own carries noClock).
 type Deadline struct {
-	t   time.Time
-	ctx context.Context
+	when int64
+	ctx  context.Context
+}
+
+// noClock is the when of a deadline only its context can expire.
+const noClock = math.MaxInt64
+
+// clockBase anchors the deadline clock; its monotonic reading makes
+// clockNow one runtime nanotime call.
+var clockBase = time.Now()
+
+func clockNow() int64 { return int64(time.Since(clockBase)) }
+
+// clockAt maps t onto the deadline clock. Zero is reserved for "no
+// bound", so an expiry landing exactly on the base moves one
+// nanosecond into the (equally expired) past; an expiry too far out
+// to represent saturates to noClock.
+func clockAt(t time.Time) int64 {
+	if w := int64(t.Sub(clockBase)); w != 0 {
+		return w
+	}
+	return -1
 }
 
 // DeadlineAfter returns a deadline d from now.
-func DeadlineAfter(d time.Duration) Deadline { return Deadline{t: time.Now().Add(d)} }
+func DeadlineAfter(d time.Duration) Deadline { return Deadline{when: clockAt(time.Now().Add(d))} }
 
-// DeadlineAt returns a deadline at the absolute time t.
-func DeadlineAt(t time.Time) Deadline { return Deadline{t: t} }
+// DeadlineAt returns a deadline at the absolute time t; the zero time
+// means no bound.
+func DeadlineAt(t time.Time) Deadline {
+	if t.IsZero() {
+		return Deadline{}
+	}
+	return Deadline{when: clockAt(t)}
+}
 
 // DeadlineCtx returns a deadline driven by ctx: cancellation expires
 // it immediately, and ctx's own deadline (if any) is captured so the
 // spin phases can poll it without calling ctx.Err.
 func DeadlineCtx(ctx context.Context) Deadline {
-	dl := Deadline{ctx: ctx}
+	dl := Deadline{when: noClock, ctx: ctx}
 	if t, ok := ctx.Deadline(); ok {
-		dl.t = t
+		dl.when = clockAt(t)
 	}
 	return dl
 }
 
 // None reports whether the deadline is the zero value (no bound).
-func (d Deadline) None() bool { return d.ctx == nil && d.t.IsZero() }
+func (d Deadline) None() bool { return d.when == 0 }
 
 // Expired reports whether the wait must be abandoned: the context is
-// done or the expiry time has passed.
-func (d Deadline) Expired() bool {
+// done or the expiry time has passed. The no-bound check is the whole
+// inlined body, so an untimed acquisition's retry loop pays one
+// compare for it; the polls stay out of line.
+func (d Deadline) Expired() bool { return d.when != 0 && d.expired() }
+
+func (d Deadline) expired() bool {
 	if d.ctx != nil && d.ctx.Err() != nil {
 		return true
 	}
-	return !d.t.IsZero() && !time.Now().Before(d.t)
+	return d.when != noClock && clockNow() >= d.when
 }
 
-// Canceled reports whether the deadline expired by context
-// cancellation rather than clock expiry — the *.cancel vs *.timeout
-// counter split.
-func (d Deadline) Canceled() bool { return d.ctx != nil && d.ctx.Err() != nil }
+// Canceled reports whether abandoning a wait under this deadline
+// counts as a cancellation rather than a timeout — the *.cancel vs
+// *.timeout counter split. The rule is the bound's source, not which
+// clock fired first: a context-driven deadline is a cancellation even
+// when the captured copy of the context's deadline expires a moment
+// before the context's own timer sets ctx.Err.
+func (d Deadline) Canceled() bool { return d.ctx != nil }
 
 // Err returns the context's error if the deadline carries a canceled
 // context, and context.DeadlineExceeded otherwise — the error the
@@ -106,8 +146,8 @@ func (d Deadline) Err() error {
 // claim/cancel CAS before treating the wait as abandoned.
 func (d Deadline) ParkTimeout(sem <-chan struct{}) bool {
 	var timerC <-chan time.Time
-	if !d.t.IsZero() {
-		tm := time.NewTimer(time.Until(d.t))
+	if d.when != noClock {
+		tm := time.NewTimer(time.Duration(d.when - clockNow()))
 		defer tm.Stop()
 		timerC = tm.C
 	}

@@ -40,8 +40,55 @@ func TestDeadlineBasics(t *testing.T) {
 	// poll the clock instead of calling ctx.Err.
 	ctx2, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
 	defer cancel2()
-	if dl2 := DeadlineCtx(ctx2); dl2.t.IsZero() {
+	if dl2 := DeadlineCtx(ctx2); dl2.when == noClock {
 		t.Fatal("DeadlineCtx dropped the context's own deadline")
+	}
+	// The zero time and out-of-range expiries keep their meanings in
+	// the one-word clock: no bound, and never-by-clock.
+	if !DeadlineAt(time.Time{}).None() {
+		t.Fatal("DeadlineAt(zero time) is not the no-bound value")
+	}
+	if far := DeadlineAfter(1<<63 - 1); far.None() || far.Expired() {
+		t.Fatal("saturated deadline misbehaved")
+	}
+	if base := DeadlineAt(clockBase); base.None() || !base.Expired() {
+		t.Fatal("deadline on the clock base collapsed into the no-bound value")
+	}
+}
+
+// lateCtx is a context whose deadline has passed but whose own timer
+// has not fired yet: Err is still nil, Done still open. Real contexts
+// sit in this state for the scheduling delay of their timer goroutine.
+type lateCtx struct{ context.Context }
+
+func (lateCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestCtxDeadlineClassifiedAsCancel pins the *.cancel / *.timeout rule:
+// the bound's source decides, not which clock fires first. The captured
+// copy of a context's deadline can expire before ctx.Err turns non-nil,
+// and that abandonment is still a cancellation.
+func TestCtxDeadlineClassifiedAsCancel(t *testing.T) {
+	ctx := lateCtx{context.Background()}
+	if ctx.Err() != nil {
+		t.Fatal("stub context reports an error")
+	}
+	dl := DeadlineCtx(ctx)
+	if !dl.Expired() {
+		t.Fatal("passed context deadline did not expire the wait")
+	}
+	if !dl.Canceled() {
+		t.Fatal("context-driven expiry classified as a timeout")
+	}
+	if err := dl.Err(); err != context.DeadlineExceeded {
+		t.Fatalf("Err = %v, want context.DeadlineExceeded", err)
+	}
+	var f Flag
+	f.Set(true)
+	if f.WaitUntil(nil, 0, nil, dl) {
+		t.Fatal("raised flag reported granted")
+	}
+	if DeadlineAfter(-time.Second).Canceled() {
+		t.Fatal("clock-only expiry classified as a cancel")
 	}
 }
 

@@ -61,20 +61,23 @@ type Flag struct {
 
 // Set raises or lowers the flag. Only the node's owner calls it, while
 // the node is private (before publication or after reclaim), exactly
-// like the PaddedBool store it replaces. The slot key is minted on
-// first use and survives re-Sets, so a recycled node keeps its array
-// slot.
+// like the PaddedBool store it replaces — except that it stores only
+// when the word changes: an atomic store is a locked instruction, and
+// a recycled node's flag usually already reads as asked. The slot key
+// is minted on first use and survives re-Sets, so a recycled node
+// keeps its array slot.
 func (f *Flag) Set(blocked bool) {
 	w := f.word.Load()
-	if w>>1 == 0 {
-		w = newKey() << 1
-	}
+	nw := w &^ 1
 	if blocked {
-		w |= 1
-	} else {
-		w &^= 1
+		nw |= 1
 	}
-	f.word.Store(w)
+	if nw>>1 == 0 {
+		nw |= newKey() << 1
+	}
+	if nw != w {
+		f.word.Store(nw)
+	}
 }
 
 // Blocked reports whether the flag is raised (the waiter must keep

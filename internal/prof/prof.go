@@ -174,7 +174,7 @@ func (lp *LockProf) NewLocal() *Local {
 	if lp == nil {
 		return nil
 	}
-	return &Local{p: lp.p, lock: lp.id}
+	return &Local{p: lp.p, lock: lp.id, tick: lp.p.rate}
 }
 
 // Local is a single-goroutine sampling handle: the per-proc election
@@ -195,21 +195,19 @@ type Local struct {
 // elected for sampling, 0 otherwise (including when profiling is off).
 // The returned value is threaded to Acquired, whose work is entirely
 // gated on it.
-func (lo *Local) Tick() int64 {
-	if lo == nil {
-		return 0
+func (lo *Local) Tick() (ts int64) {
+	if lo != nil {
+		if lo.tick--; lo.tick <= 0 {
+			ts = lo.tickElect()
+		}
 	}
-	lo.tick++
-	if lo.tick < lo.p.rate {
-		return 0
-	}
-	return lo.tickElect()
+	return ts
 }
 
 // tickElect is the elected-sample tail of Tick, kept out of line so
 // Tick stays within the inlining budget of the lock fast paths.
 func (lo *Local) tickElect() int64 {
-	lo.tick = 0
+	lo.tick = lo.p.rate
 	return lo.p.now()
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ollock/internal/csnzi"
 	"ollock/internal/obs"
@@ -254,6 +255,11 @@ func TestShardedCloseIfEmptyConcurrent(t *testing.T) {
 				t.Fatalf("CloseIfEmpty acquired with %d readers inside", n)
 			}
 			ind.Open()
+		} else if i%1024 == 1023 {
+			// A reader the OS descheduled mid-arrival keeps the indicator
+			// non-empty for as long as it stays off-CPU; on a loaded box
+			// the whole attempt budget fits inside that window.
+			time.Sleep(50 * time.Microsecond)
 		}
 	}
 	stop.Store(true)

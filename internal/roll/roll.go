@@ -54,9 +54,9 @@ const (
 // Node grant states — the one-word hand-off/abandonment race, identical
 // to the FOLL protocol: granters CAS gLive→gGranted before clearing the
 // flag, canceling writers CAS gLive→gAbandoned and walk away, and the
-// loser of the word defers to the winner (see grant). Reader nodes are
-// reset to gLive at every enqueue but never abandoned; canceling
-// readers leave through Depart accounting.
+// loser of the word defers to the winner (see grant). Reader nodes
+// enter the queue gLive like any other (see reset) but are never
+// abandoned; canceling readers leave through Depart accounting.
 const (
 	gLive uint32 = iota
 	gGranted
@@ -85,6 +85,31 @@ type Node struct {
 	ind        rind.Indicator // closed whenever the node is not enqueued
 	allocState atomic.Uint32
 	ringNext   *Node
+}
+
+// reset brings a private node — a proc's own writer node between
+// acquisitions, or a ring node between allocation and enqueue — to the
+// canonical state every node enters the queue in: no successor, grant
+// word live, qPrev the predecessor it is about to be linked behind
+// (nil at the head; a writer learns its predecessor only from the
+// Swap, and stores it then). The flag is the enqueue site's to set
+// (Flag.Set follows the same rule). Each word is loaded and stored only
+// if it differs: an atomic store is a locked instruction, a node almost
+// always comes back clean (release paths clear qNext, a grant clears
+// qPrev; only a delivered grant dirties gstate), and the node is
+// private, so eliding a store of the value already there is
+// unobservable. Every enqueue site goes through here, so the
+// empty-queue writer path is one Swap and one CAS.
+func (n *Node) reset(prev *Node) {
+	if n.qNext.Load() != nil {
+		n.qNext.Store(nil)
+	}
+	if n.gstate.Load() != gLive {
+		n.gstate.Store(gLive)
+	}
+	if n.qPrev.Load() != prev {
+		n.qPrev.Store(prev)
+	}
 }
 
 // RWLock is a ROLL reader-writer lock for up to a fixed number of
@@ -213,6 +238,21 @@ func (l *RWLock) grant(n *Node, id int, tr *lockcore.TraceLocal) {
 	}
 }
 
+// awaitGroup waits for the grant of reader group n, which the caller
+// has joined with ticket t, or retracts the arrival when dl expires
+// first; it reports whether the group was granted. The wait call — and
+// the Deadline it carries — is reached only when the inlined Blocked
+// load says the group is still waiting.
+func (p *Proc) awaitGroup(n *Node, t rind.Ticket, dl lockcore.Deadline) bool {
+	p.pi.Begin(lockcore.PhaseSpinWait)
+	if n.flag.WaitUntil(p.l.in.Wait, p.id, p.pi.TR, dl) {
+		return true
+	}
+	p.departAbandoned(n, t)
+	p.abandon(lockcore.PhaseSpinWait, dl)
+	return false
+}
+
 // Join attempt outcomes (tryJoinWaiting).
 const (
 	joinNo       = iota // node not joinable; keep looking
@@ -240,12 +280,7 @@ func (p *Proc) tryJoinWaiting(n *Node, t0, pt int64, dl lockcore.Deadline) int {
 	if p.l.lastReader.Load() != n {
 		p.l.lastReader.Store(n)
 	}
-	if p.pi.Tracing() && n.flag.Blocked() {
-		p.pi.Begin(lockcore.PhaseSpinWait)
-	}
-	if !n.flag.WaitUntil(p.l.in.Wait, p.id, p.pi.TR, dl) {
-		p.departAbandoned(n, t)
-		p.abandon(lockcore.PhaseSpinWait, dl)
+	if n.flag.Blocked() && !p.awaitGroup(n, t, dl) {
 		return joinCanceled
 	}
 	p.departFrom = n
@@ -259,6 +294,20 @@ func (p *Proc) tryJoinWaiting(n *Node, t0, pt int64, dl lockcore.Deadline) int {
 // waiting reader group over enqueuing behind writers.
 func (p *Proc) RLock() { p.rlock(lockcore.Deadline{}) }
 
+// unalloc returns a ring node that was allocated for an enqueue that
+// never happened (nil when there is none): every way out of rlock that
+// does not leave rNode in the queue passes through here. A failed
+// enqueue CAS behind a writer leaves the node linked to that writer
+// with its flag raised; both are undone so the node rests clean like
+// any other free node.
+func unalloc(rNode *Node) {
+	if rNode != nil {
+		rNode.reset(nil)
+		rNode.flag.Set(false)
+		freeReaderNode(rNode)
+	}
+}
+
 // rlock is the read-acquisition core, shared by RLock (zero deadline,
 // which never expires) and the timed variants in deadline.go. It
 // reports whether the lock was acquired.
@@ -267,28 +316,23 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 	t0 := p.pi.Now()
 	pt := p.pi.ProfTick()
 	slow := false
-	var rNode *Node
-	defer func() {
-		if rNode != nil {
-			freeReaderNode(rNode) // allocated but never enqueued
-		}
-	}()
+	var rNode *Node // allocated, not (yet) enqueued
 	for {
-		if !dl.None() && dl.Expired() {
-			// Not enqueued and holding no arrival: just walk away
-			// (the defer returns any unenqueued node).
+		if dl.Expired() {
+			// Not enqueued and holding no arrival: just walk away.
+			unalloc(rNode)
 			p.abandon(0, dl)
 			return false
 		}
 		// Fast path: the hint points at the last known waiting group.
 		if h := l.lastReader.Load(); h != nil {
-			switch p.tryJoinWaiting(h, t0, pt, dl) {
-			case joinAcquired:
-				p.pi.Inc(lockcore.ROLLHintHit)
-				p.pi.Emit(lockcore.KindHintHit, 0, 0)
-				return true
-			case joinCanceled:
-				return false
+			if st := p.tryJoinWaiting(h, t0, pt, dl); st != joinNo {
+				unalloc(rNode)
+				if st == joinAcquired {
+					p.pi.Inc(lockcore.ROLLHintHit)
+					p.pi.Emit(lockcore.KindHintHit, 0, 0)
+				}
+				return st == joinAcquired
 			}
 			p.pi.Inc(lockcore.ROLLHintMiss)
 			p.pi.Emit(lockcore.KindHintMiss, 0, 0)
@@ -300,10 +344,8 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			if rNode == nil {
 				rNode = p.allocReaderNode()
 			}
+			rNode.reset(nil)
 			rNode.flag.Set(false)
-			rNode.gstate.Store(gLive)
-			rNode.qNext.Store(nil)
-			rNode.qPrev.Store(nil)
 			if !l.tail.CompareAndSwap(nil, rNode) {
 				slow = true
 				continue
@@ -315,7 +357,6 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			if t.Arrived() {
 				p.departFrom = rNode
 				p.ticket = t
-				rNode = nil
 				p.pi.Acquired(lockcore.KindReadAcquired, t0, t.TraceRoute())
 				p.pi.ProfAcquired(pt, slow)
 				return true
@@ -329,17 +370,15 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			t := tail.ind.ArriveLocal(p.id, p.pi.LC)
 			if t.Arrived() {
 				p.pi.Inc(lockcore.ROLLReadJoin)
+				unalloc(rNode)
 				blocked := tail.flag.Blocked()
-				if blocked && l.lastReader.Load() != tail {
-					l.lastReader.Store(tail)
-				}
-				if p.pi.Tracing() && blocked {
-					p.pi.Begin(lockcore.PhaseSpinWait)
-				}
-				if !tail.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
-					p.departAbandoned(tail, t)
-					p.abandon(lockcore.PhaseSpinWait, dl)
-					return false
+				if blocked {
+					if l.lastReader.Load() != tail {
+						l.lastReader.Store(tail)
+					}
+					if !p.awaitGroup(tail, t, dl) {
+						return false
+					}
 				}
 				p.departFrom = tail
 				p.ticket = t
@@ -358,6 +397,7 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			for steps := 0; cur != nil && steps < searchLimit; steps++ {
 				if cur.kind == kindReader {
 					if st := p.tryJoinWaiting(cur, t0, pt, dl); st != joinNo {
+						unalloc(rNode)
 						return st == joinAcquired
 					}
 					break // reader node found but not joinable
@@ -369,10 +409,8 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			if rNode == nil {
 				rNode = p.allocReaderNode()
 			}
+			rNode.reset(tail)
 			rNode.flag.Set(true)
-			rNode.gstate.Store(gLive)
-			rNode.qNext.Store(nil)
-			rNode.qPrev.Store(tail)
 			if !l.tail.CompareAndSwap(tail, rNode) {
 				slow = true
 				continue
@@ -384,17 +422,10 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			t := rNode.ind.ArriveLocal(p.id, p.pi.LC)
 			if t.Arrived() {
 				l.lastReader.Store(rNode)
-				node := rNode
-				rNode = nil
-				if p.pi.Tracing() && node.flag.Blocked() {
-					p.pi.Begin(lockcore.PhaseSpinWait)
-				}
-				if !node.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
-					p.departAbandoned(node, t)
-					p.abandon(lockcore.PhaseSpinWait, dl)
+				if rNode.flag.Blocked() && !p.awaitGroup(rNode, t, dl) {
 					return false
 				}
-				p.departFrom = node
+				p.departFrom = rNode
 				p.ticket = t
 				p.pi.Acquired(lockcore.KindReadAcquired, t0, t.TraceRoute())
 				p.pi.ProfAcquired(pt, true)
@@ -402,7 +433,7 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			}
 			p.pi.Emit(lockcore.KindArriveFail, 0, 0)
 			slow = true
-			rNode = nil
+			rNode = nil // in queue; the closing writer recycles it
 		}
 	}
 }
@@ -439,22 +470,21 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 	pt := p.pi.ProfTick()
 	w0 := l.in.SpanStart()
 	w := p.wNode
-	w.qNext.Store(nil)
-	w.gstate.Store(gLive)
+	w.reset(nil)
 	oldTail := l.tail.Swap(w)
-	w.qPrev.Store(oldTail)
 	if oldTail == nil {
 		p.pi.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteRoot)
 		p.pi.ProfAcquired(pt, false)
 		l.in.SpanObserve(lockcore.ROLLWriteWait, p.id, w0)
 		return true
 	}
+	w.qPrev.Store(oldTail)
 	w.flag.Set(true)
 	oldTail.qNext.Store(w)
 	p.pi.Emit(lockcore.KindQueueEnqueue, 0, 1)
 	if oldTail.kind == kindWriter {
 		p.pi.BeginAt(t0, lockcore.PhaseQueueWait)
-		if !w.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
+		if w.flag.Blocked() && !w.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
 			return p.cancelWriteWait(dl, t0, pt, lockcore.PhaseQueueWait)
 		}
 		p.pi.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteDirect)
@@ -477,7 +507,7 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 	// close only once the group is activated, after which no waiting
 	// reader targets it (the backward search joins only spin==true
 	// nodes).
-	if !oldTail.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
+	if oldTail.flag.Blocked() && !oldTail.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
 		// Duty-phase abandonment: nobody else will ever close this
 		// group's indicator (the deferred close belongs to this queue
 		// position), so the duty cannot be dropped — detach it onto a
@@ -501,7 +531,7 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 		l.in.SpanObserve(lockcore.ROLLWriteWait, p.id, w0)
 		return true
 	}
-	if !w.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
+	if w.flag.Blocked() && !w.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
 		return p.cancelWriteWait(dl, t0, pt, lockcore.PhaseDrainWait)
 	}
 	p.pi.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteDirect)

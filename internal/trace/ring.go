@@ -112,7 +112,7 @@ func (l *Local) Now() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.tr.Now()
+	return l.tr.now() // a Local's tracer is never nil
 }
 
 // Emit records an instant event at the current time.
@@ -198,6 +198,11 @@ func (l *Local) Released(k Kind) {
 	if l == nil {
 		return
 	}
+	l.released(k)
+}
+
+//go:noinline
+func (l *Local) released(k Kind) {
 	l.ring.put(l.tr.Now(), l.meta(k, PhaseNone), 0)
 }
 

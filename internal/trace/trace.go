@@ -65,7 +65,7 @@ const (
 	KindPark   // waiter left the direct-spin path; Arg: 0 channel park, 1 array slot, 2 sleep ladder
 	KindUnpark // parked waiter woken by a grant; Arg mirrors the KindPark mechanism
 
-	KindCancel // acquisition abandoned; Arg: 0 deadline expiry, 1 context cancellation
+	KindCancel // acquisition abandoned; Arg: 0 timeout (duration/time bound), 1 cancel (context-driven bound)
 
 	NumKinds
 )
@@ -260,8 +260,13 @@ func (t *Tracer) Now() int64 {
 	if t == nil {
 		return 0
 	}
-	return int64(time.Since(t.epoch))
+	return t.now()
 }
+
+// now is Now without the nil guard, for callers holding a live tracer:
+// the guard's few nodes are what keeps lockcore.ProcInstr.Now within
+// the inlining budget.
+func (t *Tracer) now() int64 { return int64(time.Since(t.epoch)) }
 
 // Register adds a lock to the recording under name and returns its
 // handle. A nil Tracer returns a nil handle, which propagates the

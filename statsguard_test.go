@@ -1,6 +1,7 @@
 package ollock_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -504,6 +505,95 @@ func TestWaitOverheadBounded(t *testing.T) {
 		}
 		if attempt == 2 {
 			t.Fatalf("adaptive read path at %.0f%% of spin throughput, want >= 85%%", 100*adaptive/spin)
+		}
+	}
+}
+
+// bestNsPerOp times loop(ops) trials times and returns the best
+// nanoseconds per operation — the same best-of-trials shape as the
+// overhead guards above, as a time instead of a rate.
+func bestNsPerOp(loop func(ops int)) float64 {
+	const ops = 200_000
+	const trials = 5
+	best := 0.0
+	for trial := 0; trial < trials; trial++ {
+		start := time.Now()
+		loop(ops)
+		if ns := float64(time.Since(start)) / ops; best == 0 || ns < best {
+			best = ns
+		}
+	}
+	return best
+}
+
+// TestQueueLockWriteFastPathBounded is the tripwire for the
+// empty-queue writer path of the queue locks: one Swap to enqueue and
+// one CAS to release, nothing else locked. An uncontended FOLL or ROLL
+// Lock/Unlock must cost at most 1.25x sync.RWMutex's measured in the
+// same process (it ran at 1.4-1.65x while every enqueue re-stored the
+// node's words, and runs at about 0.9x without those stores); one
+// unconditional atomic store creeping back onto the path costs more
+// than the margin.
+func TestQueueLockWriteFastPathBounded(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing-sensitive guard, skipped with -short and under the race detector")
+	}
+	for _, kind := range []ollock.Kind{ollock.FOLL, ollock.ROLL} {
+		for attempt := 0; ; attempt++ {
+			var mu sync.RWMutex
+			std := bestNsPerOp(func(ops int) {
+				for i := 0; i < ops; i++ {
+					mu.Lock()
+					mu.Unlock()
+				}
+			})
+			p := ollock.MustNew(kind, 4).NewProc()
+			got := bestNsPerOp(func(ops int) {
+				for i := 0; i < ops; i++ {
+					p.Lock()
+					p.Unlock()
+				}
+			})
+			if got <= 1.25*std {
+				break
+			}
+			if attempt == 2 {
+				t.Fatalf("%s uncontended Lock/Unlock %.1f ns, sync.RWMutex %.1f ns: %.2fx, want <= 1.25x", kind, got, std, got/std)
+			}
+		}
+	}
+}
+
+// TestQueueLockReadFastPathBounded is the read-side twin: joining the
+// resting reader group at the tail is GOLL's read path (one indicator
+// arrival and departure) plus a tail load and a flag probe, so an
+// uncontended FOLL or ROLL RLock/RUnlock must cost at most 1.35x
+// GOLL's (1.55-1.65x before the wait call moved behind the Blocked
+// probe and the deadline shrank to three words; about 1.05-1.2x
+// since).
+func TestQueueLockReadFastPathBounded(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing-sensitive guard, skipped with -short and under the race detector")
+	}
+	readLoop := func(kind ollock.Kind) func(int) {
+		p := ollock.MustNew(kind, 4).NewProc()
+		return func(ops int) {
+			for i := 0; i < ops; i++ {
+				p.RLock()
+				p.RUnlock()
+			}
+		}
+	}
+	for _, kind := range []ollock.Kind{ollock.FOLL, ollock.ROLL} {
+		for attempt := 0; ; attempt++ {
+			goll := bestNsPerOp(readLoop(ollock.GOLL))
+			got := bestNsPerOp(readLoop(kind))
+			if got <= 1.35*goll {
+				break
+			}
+			if attempt == 2 {
+				t.Fatalf("%s uncontended RLock/RUnlock %.1f ns, goll %.1f ns: %.2fx, want <= 1.35x", kind, got, goll, got/goll)
+			}
 		}
 	}
 }
