@@ -18,21 +18,24 @@ import (
 // Each entry pairs the source spelling of a call with the callee name
 // the compiler prints for it; every occurrence in the algorithm
 // packages must show up in the compiler's inlining report at its own
-// line. Several sit within a node or two of the inliner's budget (and
-// the park ones inline only because lockcore carries their bodies
-// across the alias hop), so an innocent edit can push one out of line
-// — a per-acquisition call the benchmark would see as a nanosecond or
-// two with no diff to blame.
+// line — across a package boundary too: foll and roll reach the
+// per-proc instrumentation and the node flags through fields qnode
+// exports (PI, Flag), hence the case-blind spellings. Several sit
+// within a node or two of the inliner's budget (and the park ones
+// inline only because lockcore carries their bodies across the alias
+// hop), so an innocent edit can push one out of line — a
+// per-acquisition call the benchmark would see as a nanosecond or two
+// with no diff to blame.
 var inlineBudget = []struct {
 	src    *regexp.Regexp
 	callee string
 }{
-	{regexp.MustCompile(`\bpi\.Inc\(`), "lockcore.ProcInstr.Inc"},
-	{regexp.MustCompile(`\bpi\.Now\(\)`), "lockcore.ProcInstr.Now"},
-	{regexp.MustCompile(`\bpi\.ProfTick\(\)`), "lockcore.ProcInstr.ProfTick"},
-	{regexp.MustCompile(`\bpi\.Acquired\(`), "lockcore.ProcInstr.Acquired"},
-	{regexp.MustCompile(`\bpi\.Released\(`), "lockcore.ProcInstr.Released"},
-	{regexp.MustCompile(`\bflag\.Blocked\(\)`), "park.(*Flag).Blocked"},
+	{regexp.MustCompile(`(?i)\bpi\.Inc\(`), "lockcore.ProcInstr.Inc"},
+	{regexp.MustCompile(`(?i)\bpi\.Now\(\)`), "lockcore.ProcInstr.Now"},
+	{regexp.MustCompile(`(?i)\bpi\.ProfTick\(\)`), "lockcore.ProcInstr.ProfTick"},
+	{regexp.MustCompile(`(?i)\bpi\.Acquired\(`), "lockcore.ProcInstr.Acquired"},
+	{regexp.MustCompile(`(?i)\bpi\.Released\(`), "lockcore.ProcInstr.Released"},
+	{regexp.MustCompile(`(?i)\bflag\.Blocked\(\)`), "park.(*Flag).Blocked"},
 	{regexp.MustCompile(`\.Arrived\(\)`), "rind.Ticket.Arrived"},
 	{regexp.MustCompile(`\bdl\.Expired\(\)`), "park.Deadline.Expired"},
 }
@@ -80,7 +83,7 @@ func TestInliningBudget(t *testing.T) {
 	}
 
 	sites := 0
-	for _, pkg := range []string{"goll", "foll", "roll", "bravo", "central"} {
+	for _, pkg := range []string{"goll", "foll", "roll", "qnode", "bravo", "central"} {
 		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
 		if err != nil {
 			t.Fatal(err)
@@ -108,6 +111,11 @@ func TestInliningBudget(t *testing.T) {
 			}
 		}
 	}
+	// 114 sites with FOLL and ROLL on one substrate (139 when each
+	// carried its own copy of the shared half). Every package but
+	// central holds at least 15 of them, so a spelling that stops
+	// matching in any one of them lands below 100.
+	t.Logf("%d budgeted call sites", sites)
 	if sites < 100 {
 		t.Errorf("matched only %d budgeted call sites — did the source spellings change?", sites)
 	}

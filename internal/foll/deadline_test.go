@@ -1,13 +1,9 @@
 package foll
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
-
-	"ollock/internal/lockcore"
-	"ollock/internal/obs"
 )
 
 // holdWrite grabs the write lock on a fresh proc and returns a release
@@ -16,65 +12,6 @@ func holdWrite(l *RWLock) func() {
 	p := l.NewProc()
 	p.Lock()
 	return p.Unlock
-}
-
-func TestWriteTimeoutBehindWriter(t *testing.T) {
-	st := obs.New()
-	l := New(4, WithInstr(lockcore.Instr{Stats: st}))
-	release := holdWrite(l)
-	p := l.NewProc()
-	if p.LockFor(20 * time.Millisecond) {
-		t.Fatal("LockFor succeeded while lock held")
-	}
-	if got := st.Count(obs.FOLLTimeout); got != 1 {
-		t.Fatalf("foll.timeout = %d, want 1", got)
-	}
-	release()
-	// The abandoned node must be skipped: the lock must still work.
-	if !p.LockFor(time.Second) {
-		t.Fatal("LockFor failed on free lock")
-	}
-	p.Unlock()
-	if !l.Idle() {
-		t.Fatal("queue not empty at quiescence")
-	}
-}
-
-func TestReadTimeoutBehindWriter(t *testing.T) {
-	st := obs.New()
-	l := New(4, WithInstr(lockcore.Instr{Stats: st}))
-	release := holdWrite(l)
-	p := l.NewProc()
-	if p.RLockFor(20 * time.Millisecond) {
-		t.Fatal("RLockFor succeeded while write-held")
-	}
-	if got := st.Count(obs.FOLLTimeout); got != 1 {
-		t.Fatalf("foll.timeout = %d, want 1", got)
-	}
-	release()
-	if !p.RLockFor(time.Second) {
-		t.Fatal("RLockFor failed on free lock")
-	}
-	p.RUnlock()
-}
-
-func TestReadCtxCancel(t *testing.T) {
-	st := obs.New()
-	l := New(4, WithInstr(lockcore.Instr{Stats: st}))
-	release := holdWrite(l)
-	defer release()
-	p := l.NewProc()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	if err := p.RLockCtx(ctx); err != context.Canceled {
-		t.Fatalf("RLockCtx = %v, want context.Canceled", err)
-	}
-	if got := st.Count(obs.FOLLCancel); got != 1 {
-		t.Fatalf("foll.cancel = %d, want 1", got)
-	}
 }
 
 // TestAllReadersCancelGroupWithWriterBehind drives the reaper path: a
@@ -122,28 +59,4 @@ func TestAllReadersCancelGroupWithWriterBehind(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-func TestTrySemantics(t *testing.T) {
-	l := New(4)
-	p1 := l.NewProc()
-	p2 := l.NewProc()
-	if !p1.TryLock() {
-		t.Fatal("TryLock failed on free lock")
-	}
-	if p2.TryLock() || p2.TryRLock() {
-		t.Fatal("Try succeeded while write-held")
-	}
-	p1.Unlock()
-	if !p1.TryRLock() {
-		t.Fatal("TryRLock failed on free lock")
-	}
-	if !p2.TryRLock() {
-		t.Fatal("TryRLock (join) failed on read-held lock")
-	}
-	if p2.TryLock() {
-		t.Fatal("TryLock succeeded while read-held")
-	}
-	p1.RUnlock()
-	p2.RUnlock()
 }

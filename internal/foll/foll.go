@@ -11,119 +11,42 @@
 // later readers from joining the node and arranges for the last reader
 // to signal the writer.
 //
-// Reader nodes outlive the acquisition of the thread that enqueued them
-// (the enqueuer need not be the last to depart), so they are recycled
-// through a ring pool of N nodes for N threads, per the availability
-// argument of §4.2.1: a node is freed exactly once per allocation,
-// either by the thread that allocated but never enqueued it, or by the
-// unique thread that observed the node's C-SNZI become closed with zero
-// surplus (the last departing reader, or the closing writer when no
-// readers were present).
+// The queue, its nodes and ring pool, release, the non-blocking tries
+// and the abandonment machinery are internal/qnode's, shared with ROLL.
+// This package is FOLL's acquisition policy over them: readers join
+// only the node at the tail, and a writer closes its reader predecessor
+// the moment it enqueues behind it.
 package foll
 
 import (
-	"fmt"
-	"io"
-	"runtime"
-	"sync/atomic"
+	"context"
+	"time"
 
-	"ollock/internal/atomicx"
 	"ollock/internal/lockcore"
+	"ollock/internal/qnode"
 	"ollock/internal/rind"
 )
 
-// Node kinds.
-const (
-	kindReader uint32 = iota
-	kindWriter
-)
-
-// Node allocation states (reader nodes only).
-const (
-	allocFree uint32 = iota
-	allocInUse
-)
-
-// Node grant states: the one-word race between a hand-off and an
-// abandonment. A node enters the queue gLive; whoever hands the lock to
-// it first CASes gLive→gGranted and only then clears its flag, while a
-// writer abandoning a timed acquisition CASes gLive→gAbandoned and
-// walks away. Exactly one CAS wins, so a grant is never delivered to an
-// abandoned node (the granter skips it; see grant) and an abandonment
-// never swallows an in-flight grant (the canceler that loses the race
-// must collect the acquisition and release it normally). Reader nodes
-// enter the queue gLive like any other (see reset) but are never
-// abandoned — canceling readers leave through the indicator's Depart
-// accounting, which keeps the §4.2.1 pool invariant intact.
-const (
-	gLive uint32 = iota
-	gGranted
-	gAbandoned
-)
-
-// Node is a queue node. Writer nodes belong to one thread each; reader
-// nodes live in the lock's ring pool and are shared by groups of
-// readers.
-type Node struct {
-	kind  uint32 // immutable
-	qNext atomicx.PaddedPointer[Node]
-	// flag is the node's grant flag (the "spin" boolean of Figure 4),
-	// policy-aware so blocked threads can yield or park instead of
-	// burning CPU; see internal/park via lockcore.
-	flag lockcore.Flag
-	// gstate is the grant/abandon race word (see the g* constants).
-	gstate atomic.Uint32
-	// Reader-node-only fields.
-	ind        rind.Indicator // closed whenever the node is not enqueued
-	allocState atomic.Uint32
-	ringNext   *Node // immutable ring pointer for the pool
-}
-
-// reset brings a private node — a proc's own writer node between
-// acquisitions, or a ring node between allocation and enqueue — to the
-// canonical state every node enters the queue in: no successor, grant
-// word live. The flag is the enqueue site's to set (Flag.Set follows
-// the same rule). Each word is loaded and stored only if it differs:
-// an atomic store is a locked instruction, a node almost always comes
-// back clean (release paths clear qNext; only a delivered grant
-// dirties gstate), and the node is private, so eliding a store of the
-// value already there is unobservable. Every enqueue site goes through
-// here, so the empty-queue writer path is one Swap and one CAS.
-func (n *Node) reset() {
-	if n.qNext.Load() != nil {
-		n.qNext.Store(nil)
-	}
-	if n.gstate.Load() != gLive {
-		n.gstate.Store(gLive)
-	}
+// events is FOLL's counter family for the events the substrate counts.
+var events = qnode.Events{
+	ReadJoin:    lockcore.FOLLReadJoin,
+	ReadEnqueue: lockcore.FOLLReadEnqueue,
+	NodeRecycle: lockcore.FOLLNodeRecycle,
+	Timeout:     lockcore.FOLLTimeout,
+	Cancel:      lockcore.FOLLCancel,
 }
 
 // RWLock is a FOLL reader-writer lock for up to a fixed number of
 // participating goroutines. Use New, then create one Proc per goroutine.
 type RWLock struct {
-	tail    atomicx.PaddedPointer[Node]
-	ring    []Node
-	procs   atomic.Int64
-	factory rind.Factory
-	// in is the instrumentation bundle (zero = all off): the stats
-	// block is shared with every ring node's indicator, and the wait
-	// policy routes every blocking site.
-	in lockcore.Instr
+	qnode.Queue
 }
 
-// Proc is a per-goroutine handle. It carries the thread-local state of
-// the paper's pseudocode (default reader node, writer node, last arrival
-// ticket). A Proc supports one outstanding acquisition at a time.
+// Proc is a per-goroutine handle: the substrate's per-proc state and
+// release half, plus FOLL's acquisitions. A Proc supports one
+// outstanding acquisition at a time.
 type Proc struct {
-	l          *RWLock
-	id         int
-	rNode      *Node // default ring start for allocation
-	wNode      *Node
-	departFrom *Node
-	ticket     rind.Ticket
-	// pi is the proc's instrumentation view (buffered counters +
-	// flight-recorder ring); one predictable branch per site when off.
-	pi lockcore.ProcInstr
+	qnode.Proc
 }
 
 // Option configures the lock.
@@ -133,7 +56,7 @@ type Option func(*RWLock)
 // internal/rind) for the per-node C-SNZIs. A factory rather than an
 // instance: every ring-pool node carries its own indicator, and
 // recycled nodes then recycle indicators of the chosen kind.
-func WithIndicator(f rind.Factory) Option { return func(l *RWLock) { l.factory = f } }
+func WithIndicator(f rind.Factory) Option { return func(l *RWLock) { l.Factory = f } }
 
 // WithInstr attaches the instrumentation bundle (see internal/lockcore):
 // the stats block (foll.* join/enqueue/recycle counters, shared with
@@ -141,260 +64,127 @@ func WithIndicator(f rind.Factory) Option { return func(l *RWLock) { l.factory =
 // (queue/group/hand-off lifecycle events), and the wait policy that
 // makes node grant flags parking-capable. The zero bundle (the default)
 // spins exactly as the paper does, uninstrumented.
-func WithInstr(in lockcore.Instr) Option { return func(l *RWLock) { l.in = in } }
+func WithInstr(in lockcore.Instr) Option { return func(l *RWLock) { l.In = in } }
 
 // New returns a FOLL lock sized for maxProcs participating goroutines
 // (the ring pool holds exactly maxProcs reader nodes, which §4.2.1
 // proves sufficient).
 func New(maxProcs int, opts ...Option) *RWLock {
-	if maxProcs <= 0 {
-		panic("foll: maxProcs must be positive")
-	}
-	l := &RWLock{ring: make([]Node, maxProcs)}
+	l := &RWLock{}
 	for _, o := range opts {
 		o(l)
 	}
-	if l.factory == nil {
-		l.factory = rind.CSNZIFactory()
-	}
-	for i := range l.ring {
-		n := &l.ring[i]
-		n.kind = kindReader
-		n.ringNext = &l.ring[(i+1)%maxProcs]
-		n.ind = rind.Instrument(l.factory(), l.in.Stats)
-		// Fresh nodes start closed with no surplus (§4.2: "when just
-		// allocated, has a closed C-SNZI"): a node's indicator is open
-		// only while the node is enqueued.
-		n.ind.CloseIfEmpty()
-	}
-	l.in.AddDumper(l)
+	l.Init("foll", events, maxProcs)
+	l.In.AddDumper(l)
 	return l
 }
 
 // NewProc registers a goroutine with the lock; it panics if more than
-// maxProcs handles are created. Each handle gets a distinct default
-// ring node, which keeps allocation contention low.
-func (l *RWLock) NewProc() *Proc {
-	id := int(l.procs.Add(1)) - 1
-	if id >= len(l.ring) {
-		panic("foll: more procs than maxProcs")
-	}
-	return &Proc{
-		l:     l,
-		id:    id,
-		rNode: &l.ring[id],
-		wNode: &Node{kind: kindWriter},
-		pi:    l.in.NewProc(id),
-	}
-}
-
-// allocReaderNode returns a free reader node, walking the ring from the
-// proc's default node. Availability is guaranteed by the §4.2.1
-// accounting (N nodes, N threads), so the walk terminates.
-func (p *Proc) allocReaderNode() *Node {
-	cur := p.rNode
-	for {
-		if cur.allocState.Load() == allocFree &&
-			cur.allocState.CompareAndSwap(allocFree, allocInUse) {
-			return cur
-		}
-		cur = cur.ringNext
-		if cur == p.rNode {
-			// Full loop without success: another thread is between
-			// freeing and reallocating; yield and retry.
-			runtime.Gosched()
-		}
-	}
-}
-
-// freeReaderNode returns a node to the pool. At most one thread frees a
-// node per allocation (the §4.2.1 argument), so a plain store suffices.
-func freeReaderNode(n *Node) {
-	n.allocState.Store(allocFree)
-}
-
-// grant hands the lock to n, skipping nodes whose writers abandoned
-// their acquisition. Every hand-off site routes through here: winning
-// the gstate CAS commits the grant before the flag is cleared, and
-// losing it means the node's writer timed out, so ownership passes to
-// the successor instead — waiting for the enqueue/link race to settle
-// exactly as Unlock does, and emptying the queue if the abandoned node
-// was the tail. Skipped writer nodes are garbage (their procs already
-// replaced them); reader nodes are never abandoned, so for them the
-// CAS always succeeds.
-func (l *RWLock) grant(n *Node, id int, tr *lockcore.TraceLocal) {
-	for {
-		if n.gstate.CompareAndSwap(gLive, gGranted) {
-			n.flag.Clear(l.in.Wait)
-			return
-		}
-		succ := n.qNext.Load()
-		if succ == nil {
-			if l.tail.CompareAndSwap(n, nil) {
-				return // abandoned tail: the queue is now empty
-			}
-			lockcore.WaitCond(l.in.Wait, id, tr, func() bool { return n.qNext.Load() != nil })
-			succ = n.qNext.Load()
-		}
-		n.qNext.Store(nil)
-		n = succ
-	}
-}
+// maxProcs handles are created.
+func (l *RWLock) NewProc() *Proc { return &Proc{l.AddProc()} }
 
 // RLock acquires the lock for reading.
 func (p *Proc) RLock() { p.rlock(lockcore.Deadline{}) }
 
-// awaitGroup waits for the grant of reader group n, which the caller
-// has joined with ticket t, or retracts the arrival when dl expires
-// first; it reports whether the group was granted. The wait call — and
-// the Deadline it carries — is reached only when the inlined Blocked
-// load says the group is still waiting.
-func (p *Proc) awaitGroup(n *Node, t rind.Ticket, dl lockcore.Deadline) bool {
-	p.pi.Begin(lockcore.PhaseSpinWait)
-	if n.flag.WaitUntil(p.l.in.Wait, p.id, p.pi.TR, dl) {
-		return true
-	}
-	p.departAbandoned(n, t)
-	p.abandon(lockcore.PhaseSpinWait, dl)
-	return false
-}
-
-// unalloc returns a ring node that was allocated for an enqueue that
-// never happened (nil when there is none). A failed enqueue CAS behind
-// a writer leaves the node's flag raised; it is lowered so the node
-// rests clean like any other free node.
-func unalloc(rNode *Node) {
-	if rNode != nil {
-		rNode.flag.Set(false)
-		freeReaderNode(rNode)
-	}
-}
-
 // rlock is the read-acquisition core, shared by RLock (zero deadline,
-// which never expires) and the timed variants in deadline.go. It
-// reports whether the lock was acquired.
+// which never expires) and the timed variants below. It reports whether
+// the lock was acquired.
 func (p *Proc) rlock(dl lockcore.Deadline) bool {
-	l := p.l
-	t0 := p.pi.Now()
-	pt := p.pi.ProfTick()
+	q := p.Q
+	t0 := p.PI.Now()
+	pt := p.PI.ProfTick()
 	slow := false
-	var rNode *Node
+	var rNode *qnode.Node
 	for {
 		if dl.Expired() {
 			// Not enqueued and holding no arrival: just walk away.
-			unalloc(rNode)
-			p.abandon(0, dl)
+			qnode.Unalloc(rNode)
+			p.Abandon(0, dl)
 			return false
 		}
-		tail := l.tail.Load()
+		tail := q.Tail.Load()
 		switch {
 		case tail == nil:
 			// Empty queue: enqueue a fresh reader node with spin=false
 			// (its readers may run immediately), then open its C-SNZI
 			// and join it.
 			if rNode == nil {
-				rNode = p.allocReaderNode()
+				rNode = p.AllocReaderNode()
 			}
-			rNode.reset()
-			rNode.flag.Set(false)
-			if !l.tail.CompareAndSwap(nil, rNode) {
+			rNode.Reset(nil)
+			rNode.Flag.Set(false)
+			if !q.Tail.CompareAndSwap(nil, rNode) {
 				slow = true
 				continue // tail changed; retry (keep rNode)
 			}
-			p.pi.Inc(lockcore.FOLLReadEnqueue)
-			p.pi.Emit(lockcore.KindGroupEnqueue, 0, 0)
-			rNode.ind.Open()
-			t := rNode.ind.ArriveLocal(p.id, p.pi.LC)
+			p.PI.Inc(lockcore.FOLLReadEnqueue)
+			p.PI.Emit(lockcore.KindGroupEnqueue, 0, 0)
+			rNode.Ind.Open()
+			t := rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
 			if t.Arrived() {
-				p.departFrom = rNode
-				p.ticket = t
-				p.pi.Acquired(lockcore.KindReadAcquired, t0, t.TraceRoute())
-				p.pi.ProfAcquired(pt, slow)
+				p.Hold(rNode, t)
+				p.PI.Acquired(lockcore.KindReadAcquired, t0, t.TraceRoute())
+				p.PI.ProfAcquired(pt, slow)
 				return true
 			}
 			// A writer closed the node between Open and Arrive. The node
 			// is in the queue; the closer owns its cleanup. Retry with a
 			// new node.
-			p.pi.Emit(lockcore.KindArriveFail, 0, 0)
+			p.PI.Emit(lockcore.KindArriveFail, 0, 0)
 			slow = true
 			rNode = nil
 
-		case tail.kind == kindWriter:
+		case tail.Kind == qnode.Writer:
 			// Enqueue a fresh reader node behind the writer, waiting
 			// (spin=true) until the writer's release.
 			if rNode == nil {
-				rNode = p.allocReaderNode()
+				rNode = p.AllocReaderNode()
 			}
-			rNode.reset()
-			rNode.flag.Set(true)
-			if !l.tail.CompareAndSwap(tail, rNode) {
+			rNode.Reset(nil)
+			rNode.Flag.Set(true)
+			if !q.Tail.CompareAndSwap(tail, rNode) {
 				slow = true
 				continue
 			}
-			p.pi.Inc(lockcore.FOLLReadEnqueue)
-			p.pi.Emit(lockcore.KindGroupEnqueue, 0, 1)
-			tail.qNext.Store(rNode)
-			rNode.ind.Open()
-			t := rNode.ind.ArriveLocal(p.id, p.pi.LC)
+			p.PI.Inc(lockcore.FOLLReadEnqueue)
+			p.PI.Emit(lockcore.KindGroupEnqueue, 0, 1)
+			tail.QNext.Store(rNode)
+			rNode.Ind.Open()
+			t := rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
 			if t.Arrived() {
-				if rNode.flag.Blocked() && !p.awaitGroup(rNode, t, dl) {
+				if rNode.Flag.Blocked() && !p.AwaitGroup(rNode, t, dl) {
 					return false
 				}
-				p.departFrom = rNode
-				p.ticket = t
-				p.pi.Acquired(lockcore.KindReadAcquired, t0, t.TraceRoute())
-				p.pi.ProfAcquired(pt, true)
+				p.Hold(rNode, t)
+				p.PI.Acquired(lockcore.KindReadAcquired, t0, t.TraceRoute())
+				p.PI.ProfAcquired(pt, true)
 				return true
 			}
-			p.pi.Emit(lockcore.KindArriveFail, 0, 0)
+			p.PI.Emit(lockcore.KindArriveFail, 0, 0)
 			slow = true
 			rNode = nil
 
 		default:
 			// Tail is a reader node: join it.
-			t := tail.ind.ArriveLocal(p.id, p.pi.LC)
+			t := tail.Ind.ArriveLocal(p.ID, p.PI.LC)
 			if t.Arrived() {
-				p.pi.Inc(lockcore.FOLLReadJoin)
-				unalloc(rNode)
-				blocked := tail.flag.Blocked()
-				if blocked && !p.awaitGroup(tail, t, dl) {
+				p.PI.Inc(lockcore.FOLLReadJoin)
+				qnode.Unalloc(rNode)
+				blocked := tail.Flag.Blocked()
+				if blocked && !p.AwaitGroup(tail, t, dl) {
 					return false
 				}
-				p.departFrom = tail
-				p.ticket = t
-				p.pi.Acquired(lockcore.KindReadAcquired, t0, lockcore.RouteJoin)
-				p.pi.ProfAcquired(pt, slow || blocked)
+				p.Hold(tail, t)
+				p.PI.Acquired(lockcore.KindReadAcquired, t0, lockcore.RouteJoin)
+				p.PI.ProfAcquired(pt, slow || blocked)
 				return true
 			}
 			// Arrive failed: a writer closed the node after enqueuing
 			// behind it, so the tail must have changed. Retry.
-			p.pi.Emit(lockcore.KindArriveFail, 0, 0)
+			p.PI.Emit(lockcore.KindArriveFail, 0, 0)
 			slow = true
 		}
 	}
-}
-
-// RUnlock releases a read acquisition. If this thread is the last to
-// depart a closed C-SNZI, it signals the writer that closed it and
-// recycles the reader node.
-func (p *Proc) RUnlock() {
-	n := p.departFrom
-	if n.ind.Depart(p.ticket) {
-		p.pi.Released(lockcore.KindReadReleased)
-		p.pi.ProfReleased()
-		return
-	}
-	// Last departer: the closing writer linked itself before closing, so
-	// qNext is set.
-	p.pi.Emit(lockcore.KindIndDrain, 0, 0)
-	succ := n.qNext.Load()
-	p.l.grant(succ, p.id, p.pi.TR)
-	n.qNext.Store(nil) // clean up before recycling
-	freeReaderNode(n)
-	p.pi.Inc(lockcore.FOLLNodeRecycle)
-	p.pi.Emit(lockcore.KindHandoff, 0, lockcore.PackHandoff(1, true))
-	p.pi.Released(lockcore.KindReadReleased)
-	p.pi.ProfReleased()
 }
 
 // Lock acquires the lock for writing, exactly as in the MCS mutex except
@@ -402,33 +192,33 @@ func (p *Proc) RUnlock() {
 func (p *Proc) Lock() { p.lock(lockcore.Deadline{}) }
 
 // lock is the write-acquisition core, shared by Lock (zero deadline)
-// and the timed variants in deadline.go. It reports whether the lock
-// was acquired.
+// and the timed variants below. It reports whether the lock was
+// acquired.
 func (p *Proc) lock(dl lockcore.Deadline) bool {
-	l := p.l
-	t0 := p.pi.Now()
-	pt := p.pi.ProfTick()
-	w0 := l.in.SpanStart()
-	w := p.wNode
-	w.reset()
-	oldTail := l.tail.Swap(w)
+	q := p.Q
+	t0 := p.PI.Now()
+	pt := p.PI.ProfTick()
+	w0 := q.In.SpanStart()
+	w := p.WNode
+	w.Reset(nil)
+	oldTail := q.Tail.Swap(w)
 	if oldTail == nil {
-		p.pi.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteRoot)
-		p.pi.ProfAcquired(pt, false)
-		l.in.SpanObserve(lockcore.FOLLWriteWait, p.id, w0)
+		p.PI.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteRoot)
+		p.PI.ProfAcquired(pt, false)
+		q.In.SpanObserve(lockcore.FOLLWriteWait, p.ID, w0)
 		return true // free lock acquired
 	}
-	w.flag.Set(true)
-	oldTail.qNext.Store(w)
-	p.pi.Emit(lockcore.KindQueueEnqueue, 0, 1)
-	if oldTail.kind == kindWriter {
-		p.pi.BeginAt(t0, lockcore.PhaseQueueWait)
-		if w.flag.Blocked() && !w.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
-			return p.cancelWriteWait(dl, t0, pt, lockcore.PhaseQueueWait)
+	w.Flag.Set(true)
+	oldTail.QNext.Store(w)
+	p.PI.Emit(lockcore.KindQueueEnqueue, 0, 1)
+	if oldTail.Kind == qnode.Writer {
+		p.PI.BeginAt(t0, lockcore.PhaseQueueWait)
+		if w.Flag.Blocked() && !w.Flag.WaitUntil(q.In.Wait, p.ID, p.PI.TR, dl) {
+			return p.CancelWriteWait(dl, t0, pt, lockcore.PhaseQueueWait)
 		}
-		p.pi.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteDirect)
-		p.pi.ProfAcquired(pt, true)
-		l.in.SpanObserve(lockcore.FOLLWriteWait, p.id, w0)
+		p.PI.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteDirect)
+		p.PI.ProfAcquired(pt, true)
+		q.In.SpanObserve(lockcore.FOLLWriteWait, p.ID, w0)
 		return true
 	}
 	// Reader predecessor. Its C-SNZI may not be open yet (the enqueuer
@@ -436,103 +226,101 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 	// until it is, then close it to stop further readers joining. This
 	// wait is deliberately unbounded even on timed paths — the enqueuer
 	// opens the indicator within a few instructions of the enqueue.
-	p.pi.BeginAt(t0, lockcore.PhaseDrainWait)
-	lockcore.WaitCond(l.in.Wait, p.id, p.pi.TR, func() bool {
-		_, open := oldTail.ind.Query()
+	p.PI.BeginAt(t0, lockcore.PhaseDrainWait)
+	lockcore.WaitCond(q.In.Wait, p.ID, p.PI.TR, func() bool {
+		_, open := oldTail.Ind.Query()
 		return open
 	})
-	closedEmpty := oldTail.ind.Close()
-	p.pi.Emit(lockcore.KindIndClose, 0, 0)
+	closedEmpty := oldTail.Ind.Close()
+	p.PI.Emit(lockcore.KindIndClose, 0, 0)
 	if closedEmpty {
 		// Closed empty: no readers will signal us. Wait for the
 		// predecessor node's own grant and recycle it ourselves.
-		if oldTail.flag.Blocked() && !oldTail.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
+		if oldTail.Flag.Blocked() && !oldTail.Flag.WaitUntil(q.In.Wait, p.ID, p.PI.TR, dl) {
 			// Duty-phase abandonment: closing the predecessor committed
 			// us to recycling it and to the write acquisition that
 			// follows — neither can be unwound. Detach both onto a
 			// reaper that finishes the protocol verbatim and releases.
-			p.wNode = &Node{kind: kindWriter}
-			go l.reapClosedEmpty(w, oldTail, p.id)
-			p.abandon(lockcore.PhaseDrainWait, dl)
+			p.WNode = qnode.NewWriterNode()
+			go reapClosedEmpty(q, w, oldTail, p.ID)
+			p.Abandon(lockcore.PhaseDrainWait, dl)
 			return false
 		}
-		oldTail.qNext.Store(nil)
-		freeReaderNode(oldTail)
-		l.in.Inc(lockcore.FOLLNodeRecycle, p.id)
-		p.pi.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteRoot)
-		p.pi.ProfAcquired(pt, true)
-		l.in.SpanObserve(lockcore.FOLLWriteWait, p.id, w0)
+		q.Recycle(oldTail, p.ID)
+		p.PI.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteRoot)
+		p.PI.ProfAcquired(pt, true)
+		q.In.SpanObserve(lockcore.FOLLWriteWait, p.ID, w0)
 		return true
 	}
 	// Readers exist: the last departer will signal us.
-	if w.flag.Blocked() && !w.flag.WaitUntil(l.in.Wait, p.id, p.pi.TR, dl) {
-		return p.cancelWriteWait(dl, t0, pt, lockcore.PhaseDrainWait)
+	if w.Flag.Blocked() && !w.Flag.WaitUntil(q.In.Wait, p.ID, p.PI.TR, dl) {
+		return p.CancelWriteWait(dl, t0, pt, lockcore.PhaseDrainWait)
 	}
-	p.pi.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteDirect)
-	p.pi.ProfAcquired(pt, true)
-	l.in.SpanObserve(lockcore.FOLLWriteWait, p.id, w0)
+	p.PI.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteDirect)
+	p.PI.ProfAcquired(pt, true)
+	q.In.SpanObserve(lockcore.FOLLWriteWait, p.ID, w0)
 	return true
 }
 
-// Unlock releases a write acquisition.
-func (p *Proc) Unlock() {
-	l := p.l
-	w := p.wNode
-	if w.qNext.Load() == nil {
-		if l.tail.CompareAndSwap(w, nil) {
-			p.pi.Released(lockcore.KindWriteReleased)
-			p.pi.ProfReleased()
-			return
-		}
-		lockcore.WaitCond(l.in.Wait, p.id, p.pi.TR, func() bool { return w.qNext.Load() != nil })
-	}
-	succ := w.qNext.Load()
-	l.grant(succ, p.id, p.pi.TR)
-	w.qNext.Store(nil) // clean up
-	p.pi.Emit(lockcore.KindHandoff, 0, lockcore.PackHandoff(1, succ.kind == kindWriter))
-	p.pi.Released(lockcore.KindWriteReleased)
-	p.pi.ProfReleased()
+// reapClosedEmpty is the detached duty of a writer that timed out after
+// closing its reader predecessor empty: collect the predecessor's
+// grant, recycle it, and release the write acquisition the protocol
+// forced through.
+func reapClosedEmpty(q *qnode.Queue, w, oldTail *qnode.Node, id int) {
+	oldTail.Flag.Wait(q.In.Wait, id, nil)
+	q.Recycle(oldTail, id)
+	q.UnlockNode(w, id)
 }
 
-// unlockNode is the release protocol on an explicit node, for reapers
-// releasing an acquisition whose proc already walked away (the proc's
-// wNode was replaced, so p.Unlock no longer reaches the queued node).
-func (l *RWLock) unlockNode(w *Node, id int, tr *lockcore.TraceLocal) {
-	if w.qNext.Load() == nil {
-		if l.tail.CompareAndSwap(w, nil) {
-			return
-		}
-		lockcore.WaitCond(l.in.Wait, id, tr, func() bool { return w.qNext.Load() != nil })
+// RLockDeadline acquires for reading, abandoning on expiry; it reports
+// whether the lock was acquired. A zero deadline never expires.
+func (p *Proc) RLockDeadline(dl lockcore.Deadline) bool { return p.rlock(dl) }
+
+// LockDeadline acquires for writing, abandoning on expiry; it reports
+// whether the lock was acquired.
+func (p *Proc) LockDeadline(dl lockcore.Deadline) bool { return p.lock(dl) }
+
+// RLockFor acquires for reading, giving up after d. The try-first shape
+// keeps the uncontended timed acquisition at untimed speed: anchoring
+// the deadline costs a clock read, which only a failed immediate
+// attempt — the one a non-positive d is owed anyway — has to pay.
+func (p *Proc) RLockFor(d time.Duration) bool {
+	if p.TryRLock() {
+		return true
 	}
-	succ := w.qNext.Load()
-	l.grant(succ, id, tr)
-	w.qNext.Store(nil)
+	return p.rlock(lockcore.After(d))
 }
 
-// MaxProcs returns the ring size (diagnostic).
-func (l *RWLock) MaxProcs() int { return len(l.ring) }
-
-// DumpLockState renders the live queue for the trace watchdog: the tail
-// node plus every in-use ring node. All fields involved are atomics (or
-// immutable), so the racy read is safe, merely advisory.
-func (l *RWLock) DumpLockState(w io.Writer) {
-	tail := l.tail.Load()
-	if tail == nil {
-		fmt.Fprintf(w, "foll: queue empty (lock free)\n")
-		return
+// LockFor acquires for writing, giving up after d.
+func (p *Proc) LockFor(d time.Duration) bool {
+	if p.TryLock() {
+		return true
 	}
-	fmt.Fprintf(w, "foll: tail node: %s\n", l.describeNode(tail))
-	for i := range l.ring {
-		n := &l.ring[i]
-		if n.allocState.Load() == allocInUse && n != tail {
-			fmt.Fprintf(w, "foll: ring node %d: %s\n", i, l.describeNode(n))
-		}
-	}
+	return p.lock(lockcore.After(d))
 }
 
-func (l *RWLock) describeNode(n *Node) string {
-	if n.kind == kindWriter {
-		return fmt.Sprintf("writer spin=%v", n.flag.Blocked())
+// RLockCtx acquires for reading, abandoning when ctx is done. It
+// returns nil on acquisition and the context's error otherwise.
+func (p *Proc) RLockCtx(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return fmt.Sprintf("reader spin=%v ind=%s", n.flag.Blocked(), rind.Describe(n.ind))
+	dl := lockcore.FromContext(ctx)
+	if p.rlock(dl) {
+		return nil
+	}
+	return dl.Err()
+}
+
+// LockCtx acquires for writing, abandoning when ctx is done. It
+// returns nil on acquisition and the context's error otherwise.
+func (p *Proc) LockCtx(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	dl := lockcore.FromContext(ctx)
+	if p.lock(dl) {
+		return nil
+	}
+	return dl.Err()
 }

@@ -57,12 +57,7 @@ func TestReadersShareOneNode(t *testing.T) {
 	// Sample the pool occupancy while the readers hammer the lock.
 	maxInUse := 0
 	for i := 0; i < 200; i++ {
-		inUse := 0
-		for j := range l.ring {
-			if l.ring[j].allocState.Load() == allocInUse {
-				inUse++
-			}
-		}
+		inUse := l.NodesInUse()
 		if inUse > maxInUse {
 			maxInUse = inUse
 		}
@@ -111,17 +106,12 @@ func TestNodeRecycling(t *testing.T) {
 	// Quiescent: at most one node may remain in use — the drained reader
 	// node legitimately left enqueued at the head (it is recycled only
 	// when a later writer closes it), and it must be the queue tail.
-	inUse := 0
-	for i := range l.ring {
-		if l.ring[i].allocState.Load() != allocFree {
-			inUse++
-			if tail := l.tail.Load(); tail != &l.ring[i] {
-				t.Fatalf("in-use ring node %d is not the enqueued tail", i)
-			}
-		}
-	}
+	inUse := l.NodesInUse()
 	if inUse > 1 {
 		t.Fatalf("%d ring nodes in use after quiescence, want <= 1", inUse)
+	}
+	if tail := l.Tail.Load(); inUse == 1 && (tail == nil || !tail.InUse()) {
+		t.Fatal("the in-use ring node is not the enqueued tail")
 	}
 }
 
@@ -198,10 +188,8 @@ func TestSequentialKindSwitching(t *testing.T) {
 	}
 	// The trailing Lock/Unlock closed and recycled any drained reader
 	// node, so the ring must be fully free here.
-	for i := range l.ring {
-		if l.ring[i].allocState.Load() != allocFree {
-			t.Fatalf("ring node %d leaked", i)
-		}
+	if n := l.NodesInUse(); n != 0 {
+		t.Fatalf("%d ring nodes leaked", n)
 	}
 }
 

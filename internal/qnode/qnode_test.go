@@ -1,0 +1,124 @@
+package qnode
+
+import (
+	"testing"
+	"time"
+
+	"ollock/internal/lockcore"
+)
+
+// The grant / abandonment state machine on a bare Queue, with no policy
+// over it: the test enqueues writer nodes the way every policy's write
+// acquisition does and drives the shared machinery directly.
+
+func newQueue(maxProcs int) (*Queue, []*Proc) {
+	q := &Queue{}
+	q.Init("qnode", Events{}, maxProcs)
+	ps := make([]*Proc, maxProcs)
+	for i := range ps {
+		p := q.AddProc()
+		ps[i] = &p
+	}
+	return q, ps
+}
+
+// enqueueWriter is the enqueue half of a write acquisition: the proc
+// holds the lock if the queue was empty, and waits on its flag
+// otherwise.
+func enqueueWriter(p *Proc) {
+	w := p.WNode
+	w.Reset(nil)
+	if old := p.Q.Tail.Swap(w); old != nil {
+		w.Flag.Set(true)
+		old.QNext.Store(w)
+	}
+}
+
+// expired is a deadline that has already passed.
+func expired() lockcore.Deadline { return lockcore.After(-time.Second) }
+
+func wantRest(t *testing.T, q *Queue, ps []*Proc) {
+	t.Helper()
+	if q.Tail.Load() != nil {
+		t.Error("queue not empty")
+	}
+	for i, p := range ps {
+		if f := p.WNode.RestFault(); f != "" {
+			t.Errorf("proc %d writer node not at rest: %s", i, f)
+		}
+	}
+	if f := q.RingFault(); f != "" {
+		t.Error(f)
+	}
+}
+
+func TestGrantSkipsAbandonedNodes(t *testing.T) {
+	q, ps := newQueue(3)
+	head, mid, tail := ps[0], ps[1], ps[2]
+	for _, p := range ps {
+		enqueueWriter(p)
+	}
+	midNode, tailNode := mid.WNode, tail.WNode
+	for _, p := range []*Proc{mid, tail} {
+		if p.CancelWriteWait(expired(), 0, 0, 0) {
+			t.Fatal("CancelWriteWait reported an acquisition")
+		}
+	}
+	if mid.WNode == midNode || tail.WNode == tailNode {
+		t.Fatal("an abandoned writer node was not replaced")
+	}
+
+	head.Unlock() // grant walks mid → tail, finds both abandoned
+
+	for _, n := range []*Node{midNode, tailNode} {
+		if g := n.GState.Load(); g != Abandoned {
+			t.Errorf("abandoned node's gstate = %d, want Abandoned", g)
+		}
+		if !n.Flag.Blocked() {
+			t.Error("a grant was delivered to an abandoned node")
+		}
+	}
+	if midNode.QNext.Load() != nil {
+		t.Error("skipped node still linked to its successor")
+	}
+	wantRest(t, q, ps)
+}
+
+// TestCancelLosesToInFlightGrant hand-steps the other outcome of the
+// GState race: the granter's CAS has won but its flag clear has not
+// landed when the writer times out. The canceler must wait for the
+// grant, take the acquisition, and release it to its successor.
+func TestCancelLosesToInFlightGrant(t *testing.T) {
+	q, ps := newQueue(3)
+	head, loser, succ := ps[0], ps[1], ps[2]
+	for _, p := range ps {
+		enqueueWriter(p)
+	}
+	w := loser.WNode
+	// First half of head's release: grant's CAS.
+	if !w.GState.CompareAndSwap(Live, Granted) {
+		t.Fatal("node not live")
+	}
+	done := make(chan bool)
+	go func() { done <- loser.CancelWriteWait(expired(), 0, 0, 0) }()
+	select {
+	case <-done:
+		t.Fatal("canceler returned before the in-flight grant was delivered")
+	case <-time.After(20 * time.Millisecond):
+	}
+	// Second half: the flag clear, then head's own cleanup.
+	w.Flag.Clear(nil)
+	head.WNode.QNext.Store(nil)
+	if <-done {
+		t.Fatal("CancelWriteWait reported an acquisition")
+	}
+	if loser.WNode != w {
+		t.Error("the granted node was replaced as if abandoned")
+	}
+	// The forced acquisition was released: the successor holds the lock.
+	if succ.WNode.Flag.Blocked() || succ.WNode.GState.Load() != Granted {
+		t.Fatal("the collected acquisition was not passed on")
+	}
+	succ.Unlock()
+	wantRest(t, q, ps)
+}

@@ -12,12 +12,12 @@ package rind
 // closer (a writer that Closed the indicator and is waiting for the
 // surplus to hit zero) is owed exactly one hand-off signal, and this
 // departure just became it. The lock-layer cancellation paths
-// (goll/foll/roll deadline.go) handle inheritance by running the same
-// last-departer duty a normal RUnlock would — waking the writer or
-// discharging the group hand-off — before returning "not acquired" to
-// their caller. That is what keeps sealed-drain accounting exact under
-// abandonment: every closed indicator drains to zero exactly once, no
-// matter how many of its departures were cancellations.
+// (goll/deadline.go, internal/qnode/cancel.go) handle inheritance by
+// running the same last-departer duty a normal RUnlock would — waking
+// the writer or discharging the group hand-off — before returning "not
+// acquired" to their caller. That is what keeps sealed-drain accounting
+// exact under abandonment: every closed indicator drains to zero exactly
+// once, no matter how many of its departures were cancellations.
 //
 // The ticket must come from a successful Arrive on ind and must not be
 // used again (neither Depart nor Abandon).

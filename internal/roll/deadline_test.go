@@ -1,61 +1,15 @@
 package roll
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
-
-	"ollock/internal/lockcore"
-	"ollock/internal/obs"
 )
 
 func holdWrite(l *RWLock) func() {
 	p := l.NewProc()
 	p.Lock()
 	return p.Unlock
-}
-
-func TestWriteTimeoutBehindWriter(t *testing.T) {
-	st := obs.New()
-	l := New(4, WithInstr(lockcore.Instr{Stats: st}))
-	release := holdWrite(l)
-	p := l.NewProc()
-	if p.LockFor(20 * time.Millisecond) {
-		t.Fatal("LockFor succeeded while lock held")
-	}
-	if got := st.Count(obs.ROLLTimeout); got != 1 {
-		t.Fatalf("roll.timeout = %d, want 1", got)
-	}
-	release()
-	// The abandoned node must be skipped: the lock must still work.
-	if !p.LockFor(time.Second) {
-		t.Fatal("LockFor failed on free lock")
-	}
-	p.Unlock()
-	if !l.Idle() {
-		t.Fatal("queue not empty at quiescence")
-	}
-}
-
-func TestReadCtxCancelBehindWriter(t *testing.T) {
-	st := obs.New()
-	l := New(4, WithInstr(lockcore.Instr{Stats: st}))
-	release := holdWrite(l)
-	p := l.NewProc()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := p.RLockCtx(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("RLockCtx = %v, want context.DeadlineExceeded", err)
-	}
-	if got := st.Count(obs.ROLLCancel); got != 1 {
-		t.Fatalf("roll.cancel = %d, want 1", got)
-	}
-	release()
-	if !p.RLockFor(time.Second) {
-		t.Fatal("RLockFor failed on free lock")
-	}
-	p.RUnlock()
 }
 
 // TestWriterDrainTimeoutReaper drives the reapWriterDrain path: a
@@ -119,28 +73,4 @@ func TestWriterDrainTimeoutReaper(t *testing.T) {
 		t.Fatal("LockFor failed after reaper drain")
 	}
 	w2.Unlock()
-}
-
-func TestTrySemantics(t *testing.T) {
-	l := New(4)
-	p1 := l.NewProc()
-	p2 := l.NewProc()
-	if !p1.TryLock() {
-		t.Fatal("TryLock failed on free lock")
-	}
-	if p2.TryLock() || p2.TryRLock() {
-		t.Fatal("Try succeeded while write-held")
-	}
-	p1.Unlock()
-	if !p1.TryRLock() {
-		t.Fatal("TryRLock failed on free lock")
-	}
-	if !p2.TryRLock() {
-		t.Fatal("TryRLock (join) failed on read-held lock")
-	}
-	if p2.TryLock() {
-		t.Fatal("TryLock succeeded while read-held")
-	}
-	p1.RUnlock()
-	p2.RUnlock()
 }

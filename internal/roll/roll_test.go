@@ -184,17 +184,12 @@ func TestNodePoolQuiescence(t *testing.T) {
 	}
 	// At most one node may remain in use: the drained reader node left
 	// enqueued at the head (recycled only when a later writer closes it).
-	inUse := 0
-	for i := range l.ring {
-		if l.ring[i].allocState.Load() != allocFree {
-			inUse++
-			if tail := l.tail.Load(); tail != &l.ring[i] {
-				t.Fatalf("in-use ring node %d is not the enqueued tail", i)
-			}
-		}
-	}
+	inUse := l.NodesInUse()
 	if inUse > 1 {
 		t.Fatalf("%d ring nodes in use after quiescence, want <= 1", inUse)
+	}
+	if tail := l.Tail.Load(); inUse == 1 && (tail == nil || !tail.InUse()) {
+		t.Fatal("the in-use ring node is not the enqueued tail")
 	}
 }
 

@@ -5,7 +5,8 @@
 // three words with atomic stores and then advances the position word.
 // Readers (Tracer.Snapshot, the watchdog) run concurrently; they copy
 // the window and discard any slot the writer may have overwritten
-// while they copied, so a snapshot never contains torn events.
+// while they copied — including the one slot an in-flight put may be
+// filling right now — so a snapshot never contains torn events.
 package trace
 
 import (
@@ -21,7 +22,10 @@ const eventWords = 3
 // ring is a single-writer flight-recorder buffer of fixed-width binary
 // events. Capacity is a power of two; the write position only grows,
 // so slot i of event n is (n & mask) * eventWords and the live window
-// is [pos-cap, pos).
+// is [pos-cap, pos). put fills event pos's slot before publishing
+// pos+1, so the oldest event of a wrapped window shares its slot with
+// a write that may be in flight: a snapshot of a wrapped ring reports
+// the cap-1 events above it.
 type ring struct {
 	mask uint64
 	buf  []atomic.Uint64
@@ -64,10 +68,11 @@ func (r *ring) snapshot(out []Event) []Event {
 		tmp = append(tmp, raw{r.buf[i].Load(), r.buf[i+1].Load(), r.buf[i+2].Load()})
 	}
 	// Any slot with sequence number below the writer's new window start
-	// may have been overwritten (torn) during the copy: drop it.
-	if hi2 := r.pos.Load(); hi2 > capEvents && hi2-capEvents > lo {
-		tmp = tmp[hi2-capEvents-lo:]
-		lo = hi2 - capEvents
+	// may have been overwritten (torn) during the copy, and event hi2 —
+	// whose slot is event hi2-cap's — may be half written now: drop
+	// through hi2-cap inclusive (everything, if the writer lapped us).
+	if hi2 := r.pos.Load(); hi2 >= capEvents {
+		tmp = tmp[min(hi2-capEvents+1-lo, uint64(len(tmp))):]
 	}
 	for _, w := range tmp {
 		out = append(out, Event{

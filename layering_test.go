@@ -17,7 +17,7 @@ import (
 // means a second copy of the nil-guard idiom is growing back — the
 // exact duplication the lockcore extraction removed.
 func TestAlgorithmPackageLayering(t *testing.T) {
-	algorithmPkgs := []string{"goll", "foll", "roll", "bravo", "central"}
+	algorithmPkgs := []string{"goll", "foll", "roll", "qnode", "bravo", "central"}
 	forbidden := map[string]bool{
 		"ollock/internal/obs":   true,
 		"ollock/internal/trace": true,

@@ -18,7 +18,6 @@ import (
 	"ollock/internal/park"
 	"ollock/internal/prof"
 	"ollock/internal/roll"
-	"ollock/internal/snzi"
 	"ollock/internal/solaris"
 	"ollock/internal/trace"
 )
@@ -28,7 +27,7 @@ import (
 // handle; locks whose native interface is already handle-free (Solaris,
 // Central) hand out trivial Procs.
 
-// --- C-SNZI / SNZI re-exports ---
+// --- C-SNZI re-exports ---
 
 // CSNZI is the closable scalable nonzero indicator, the paper's core
 // data structure, usable standalone (e.g. "block new arrivals, then wait
@@ -47,12 +46,6 @@ func CSNZIWithLeaves(n int) csnzi.Option { return csnzi.WithLeaves(n) }
 
 // CSNZIWithFanout bounds children per interior node.
 func CSNZIWithFanout(n int) csnzi.Option { return csnzi.WithFanout(n) }
-
-// SNZI is the plain (non-closable) scalable nonzero indicator.
-type SNZI = snzi.SNZI
-
-// NewSNZI returns an empty SNZI.
-func NewSNZI(opts ...snzi.Option) *SNZI { return snzi.New(opts...) }
 
 // --- GOLL ---
 

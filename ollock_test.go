@@ -184,18 +184,6 @@ func TestCSNZIPublicSurface(t *testing.T) {
 	c.Open()
 }
 
-func TestSNZIPublicSurface(t *testing.T) {
-	s := ollock.NewSNZI()
-	tk := s.Arrive(0)
-	if !s.Query() {
-		t.Fatal("no surplus after arrive")
-	}
-	s.Depart(tk)
-	if s.Query() {
-		t.Fatal("surplus after depart")
-	}
-}
-
 func TestMCSMutexPublicSurface(t *testing.T) {
 	m := ollock.NewMCSMutex()
 	const goroutines, iters = 6, 800
