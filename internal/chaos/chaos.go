@@ -37,11 +37,24 @@ import (
 type Injector struct {
 	seed  uint64
 	count atomic.Uint64
+	// step, when set (NewStepper), replaces the random draw: every
+	// perturbation point calls it with the proc id instead.
+	step func(id int)
 }
 
 // New returns an injector drawing every schedule from seed.
 func New(seed uint64) *Injector {
 	return &Injector{seed: seed}
+}
+
+// NewStepper returns an injector for hand-stepped tests: instead of
+// drawing a delay, every perturbation point calls step with the id of
+// the proc that reached it, on that proc's goroutine. A test parks a
+// chosen proc at a chosen protocol step by blocking inside step (count
+// the calls per id: each is one Emit site, in program order), runs the
+// other side of the race to completion, and lets it go.
+func NewStepper(step func(id int)) *Injector {
+	return &Injector{step: step}
 }
 
 // Seed returns the injector's seed (for failure reports: re-running
@@ -82,7 +95,7 @@ func (in *Injector) NewProc(id int) *Proc {
 	if s == 0 {
 		s = 0x9e3779b97f4a7c15 // xorshift must not start at zero
 	}
-	return &Proc{rng: s, inj: in}
+	return &Proc{rng: s, inj: in, id: id}
 }
 
 // Proc is one goroutine's fault stream. Not safe for concurrent use —
@@ -90,6 +103,7 @@ func (in *Injector) NewProc(id int) *Proc {
 type Proc struct {
 	rng uint64
 	inj *Injector
+	id  int
 }
 
 // Perturb draws the next schedule decision and maybe delays the
@@ -100,6 +114,11 @@ type Proc struct {
 // mid-protocol thread. Nil-safe.
 func (p *Proc) Perturb() {
 	if p == nil {
+		return
+	}
+	if p.inj.step != nil {
+		p.inj.count.Add(1)
+		p.inj.step(p.id)
 		return
 	}
 	x := p.rng

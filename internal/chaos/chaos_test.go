@@ -88,3 +88,21 @@ func TestStateNeverSticksAtZero(t *testing.T) {
 		t.Fatalf("%d perturbations in 20000 draws, want about 5000", c)
 	}
 }
+
+// TestStepperCallsBackWithProcID: a stepper injector draws nothing and
+// calls back at every perturbation point, with the id of the proc that
+// reached it.
+func TestStepperCallsBackWithProcID(t *testing.T) {
+	var got []int
+	in := NewStepper(func(id int) { got = append(got, id) })
+	a, b := in.NewProc(3), in.NewProc(7)
+	a.Perturb()
+	b.Perturb()
+	a.Perturb()
+	if len(got) != 3 || got[0] != 3 || got[1] != 7 || got[2] != 3 {
+		t.Fatalf("step calls = %v, want [3 7 3]", got)
+	}
+	if in.Count() != 3 {
+		t.Fatalf("Count = %d, want 3", in.Count())
+	}
+}

@@ -40,14 +40,25 @@ import (
 // Root word layout:
 //
 //	bit  63     : closed flag (set = CLOSED)
+//	bit  62     : waiters flag (set only while closed; see MarkWaiters)
 //	bits 31..61 : tree-arrival count (31 bits)
 //	bits 0..30  : direct-arrival count (31 bits)
 //
-// "Write-acquired" (closed, surplus zero) is therefore the exact word
-// value closedBit, which keeps the hot-path comparisons in Close,
-// Depart and treeArrive single integer compares.
+// "Write-acquired" (closed, surplus zero) is therefore the word value
+// closedBit give or take the waiters flag, which keeps the hot-path
+// tests in Depart and treeArrive one AND and one compare; and "write-
+// acquired with nobody queued" is the exact value closedBit, which is
+// what lets OpenIfNoWaiters release with a single CAS.
+//
+// The waiters flag is the Solaris lockword's RW_HAS_WAITERS: the lock
+// built on this word sets it, in the same atomic step that confirms the
+// word is closed, before a thread queues behind the closer. The C-SNZI
+// itself only carries it: every transition to open clears it, every
+// transition between closed states preserves it, and no arrival,
+// departure or drain test depends on it.
 const (
 	closedBit  = uint64(1) << 63
+	waitersBit = uint64(1) << 62
 	treeOne    = uint64(1) << 31
 	count31    = (uint64(1) << 31) - 1
 	directMask = count31
@@ -57,7 +68,12 @@ const (
 func directCount(w uint64) uint64 { return w & directMask }
 func treeCount(w uint64) uint64   { return (w >> 31) & count31 }
 func isClosed(w uint64) bool      { return w&closedBit != 0 }
+func hasWaiters(w uint64) bool    { return w&waitersBit != 0 }
 func surplus(w uint64) uint64     { return directCount(w) + treeCount(w) }
+
+// writeAcquired reports whether w is closed with zero surplus, with or
+// without the waiters flag.
+func writeAcquired(w uint64) bool { return w&^waitersBit == closedBit }
 
 // CSNZI is a closable scalable nonzero indicator. Use New. A CSNZI is
 // initially open with zero surplus.
@@ -261,12 +277,66 @@ func (c *CSNZI) Close() bool {
 		if isClosed(old) {
 			return false
 		}
-		new := old | closedBit
-		if c.root.CompareAndSwap(old, new) {
+		if c.root.CompareAndSwap(old, old|closedBit) {
 			c.stats.Inc(obs.CSNZIClose, 0)
-			return new == closedBit
+			return old == 0
 		}
 	}
+}
+
+// CloseAndMark is Close for a closer that will queue unless it acquires
+// outright: one CAS loop that leaves the C-SNZI closed and, unless the
+// closer took it empty, flagged as having waiters — so there is no
+// moment at which the word is closed on the caller's behalf but a
+// releaser's OpenIfNoWaiters could still succeed. It returns true iff
+// this call closed an open C-SNZI with zero surplus (the caller owns
+// it; the flag stays clear). An already-closed C-SNZI is marked and
+// false returned.
+func (c *CSNZI) CloseAndMark() bool {
+	for {
+		old := c.root.Load()
+		new := old | closedBit | waitersBit
+		if old == 0 {
+			new = closedBit
+		}
+		if new == old {
+			return false
+		}
+		if c.root.CompareAndSwap(old, new) {
+			if !isClosed(old) {
+				c.stats.Inc(obs.CSNZIClose, 0)
+			}
+			return old == 0
+		}
+	}
+}
+
+// MarkWaiters sets the waiters flag iff the C-SNZI is closed, reporting
+// whether it is (true also when the flag was already set). On an open
+// C-SNZI it changes nothing and returns false: the caller's reason to
+// queue is gone and it should retry its arrival.
+func (c *CSNZI) MarkWaiters() bool {
+	for {
+		old := c.root.Load()
+		if !isClosed(old) {
+			return false
+		}
+		if hasWaiters(old) || c.root.CompareAndSwap(old, old|waitersBit) {
+			return true
+		}
+	}
+}
+
+// OpenIfNoWaiters reopens a C-SNZI that is closed with zero surplus and
+// no waiters flag, with one CAS, reporting whether it did. This is the
+// writer's release fast path; on false the caller still owns the closed
+// C-SNZI and must consult its queue.
+func (c *CSNZI) OpenIfNoWaiters() bool {
+	if c.root.CompareAndSwap(closedBit, 0) {
+		c.stats.Inc(obs.CSNZIOpen, 0)
+		return true
+	}
+	return false
 }
 
 // CloseIfEmpty closes the C-SNZI only if it is open with zero surplus,
@@ -285,10 +355,11 @@ func (c *CSNZI) CloseIfEmpty() bool {
 	}
 }
 
-// Open reopens the C-SNZI. It requires (and panics otherwise) that the
-// C-SNZI is closed with zero surplus, per the Figure 1 specification.
+// Open reopens the C-SNZI, clearing the waiters flag. It requires (and
+// panics otherwise) that the C-SNZI is closed with zero surplus, per the
+// Figure 1 specification.
 func (c *CSNZI) Open() {
-	if w := c.root.Load(); w != closedBit {
+	if w := c.root.Load(); !writeAcquired(w) {
 		panic(fmt.Sprintf("csnzi: Open on %s", describe(w)))
 	}
 	c.stats.Inc(obs.CSNZIOpen, 0)
@@ -296,20 +367,22 @@ func (c *CSNZI) Open() {
 }
 
 // OpenWithArrivals atomically opens the C-SNZI, performs cnt direct
-// arrivals, and, if close is set, closes it again (§2.1). The matching
-// departures must use DirectTicket. Like Open it requires the C-SNZI to
-// be closed with zero surplus. It panics if cnt is negative or exceeds
-// the 31-bit counter range.
+// arrivals, and, if close is set, closes it again (§2.1) — keeping the
+// waiters flag, which an open result clears. The matching departures
+// must use DirectTicket. Like Open it requires the C-SNZI to be closed
+// with zero surplus. It panics if cnt is negative or exceeds the 31-bit
+// counter range.
 func (c *CSNZI) OpenWithArrivals(cnt int, close bool) {
 	if cnt < 0 || uint64(cnt) > count31 {
 		panic(fmt.Sprintf("csnzi: OpenWithArrivals count %d out of range", cnt))
 	}
-	if w := c.root.Load(); w != closedBit {
-		panic(fmt.Sprintf("csnzi: OpenWithArrivals on %s", describe(w)))
+	old := c.root.Load()
+	if !writeAcquired(old) {
+		panic(fmt.Sprintf("csnzi: OpenWithArrivals on %s", describe(old)))
 	}
 	w := uint64(cnt)
 	if close {
-		w |= closedBit
+		w |= old // closedBit, and waitersBit if set
 	}
 	c.stats.Inc(obs.CSNZIOpen, 0)
 	c.root.Store(w)
@@ -357,14 +430,16 @@ func (c *CSNZI) SoleDirect() bool {
 // arrival" to "closed with zero surplus" (write-acquired), regardless of
 // the current open/closed state. On success the caller's direct arrival
 // is consumed (do not Depart it) and the caller owns the closed C-SNZI.
-// It fails if any other arrival exists.
+// It fails if any other arrival exists. The waiters flag carries over:
+// a writer queued behind the upgrader's read hold is still queued
+// behind its write hold.
 func (c *CSNZI) TryUpgrade() bool {
 	for {
 		old := c.root.Load()
 		if directCount(old) != 1 || treeCount(old) != 0 {
 			return false
 		}
-		if c.root.CompareAndSwap(old, closedBit) {
+		if c.root.CompareAndSwap(old, closedBit|old&waitersBit) {
 			return true
 		}
 	}
@@ -377,7 +452,7 @@ func (c *CSNZI) rootDepartDirect() bool {
 		old := c.root.Load()
 		new := old - 1
 		if c.root.CompareAndSwap(old, new) {
-			return new != closedBit
+			return !writeAcquired(new)
 		}
 	}
 }
@@ -389,7 +464,7 @@ func (c *CSNZI) rootDepartDirect() bool {
 func (c *CSNZI) rootTreeArrive() bool {
 	for {
 		old := c.root.Load()
-		if old == closedBit {
+		if writeAcquired(old) {
 			return false
 		}
 		if c.root.CompareAndSwap(old, old+treeOne) {
@@ -403,7 +478,7 @@ func (c *CSNZI) rootTreeDepart() bool {
 		old := c.root.Load()
 		new := old - treeOne
 		if c.root.CompareAndSwap(old, new) {
-			return new != closedBit
+			return !writeAcquired(new)
 		}
 	}
 }
@@ -583,6 +658,9 @@ func describe(w uint64) string {
 	state := "OPEN"
 	if isClosed(w) {
 		state = "CLOSED"
+	}
+	if hasWaiters(w) {
+		state += "+WAITERS"
 	}
 	return fmt.Sprintf("C-SNZI{state=%s direct=%d tree=%d}", state, directCount(w), treeCount(w))
 }

@@ -12,10 +12,36 @@
 // Conflicted threads queue in a mutex-protected wait queue
 // (internal/waitq, the turnstile substitute), and releasing threads hand
 // ownership over directly — a woken thread already owns the lock. The
-// queue mutex is touched only in the presence of conflicting requests;
-// in particular read-only workloads never acquire it.
+// queue mutex is touched only in the presence of conflicting requests:
+// read-only workloads never acquire it, and neither does a writer that
+// finds the lock free and releases it with nobody queued — that
+// Lock/Unlock pair is two CASes on the indicator word.
 //
-// Beyond the paper's pseudocode this implementation adds the
+// The second half is where this lock departs from Figure 3, whose
+// release takes the mutex unconditionally to look at the queue. The
+// Solaris lockword the paper started from carried a has-waiters bit so
+// its release need not; the indicator word carries the same bit here
+// (see internal/rind, "The waiters flag"):
+//
+//   - a thread about to queue sets the bit, under the mutex, in the same
+//     atomic step that confirms the indicator is closed — a reader with
+//     MarkWaiters, which fails on an open indicator (the closer left;
+//     retry the arrival), a writer with CloseAndMark, which closes and
+//     marks at once (or acquires an indicator that drained meanwhile);
+//   - Unlock first tries OpenIfNoWaiters, one CAS from "closed, zero
+//     surplus, no bit" to open; only when it fails does it take the
+//     mutex and hand off as Figure 3 does.
+//
+// Both are CASes on one word, so one goes first: if the release does,
+// the would-be waiter finds the indicator open and never queues; if
+// the mark does, the release fails and finds the waiter (it blocks on
+// the mutex the waiter holds until the entry is linked). Under the
+// mutex, "queue non-empty" therefore implies "bit set". The converse
+// does not hold — a cancelled waiter or a writer-to-writer hand-off
+// leaves the bit behind — and costs the next Unlock one trip through
+// the mutex, whose Open clears it.
+//
+// Beyond the paper's pseudocode this implementation also adds the
 // write-upgrade operation of §3.2.1 (using the two-counter C-SNZI root)
 // and the symmetric downgrade, both of which the Solaris lock offers.
 package goll
@@ -158,12 +184,14 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			return false
 		}
 		l.meta.LockWith(l.in.Wait)
-		if _, open := l.cs.Query(); open {
-			// The closer released before we got the mutex; retry the
-			// fast path.
+		if !l.cs.MarkWaiters() {
+			// The closer released before we could mark the indicator;
+			// retry the fast path.
 			l.meta.Unlock()
 			continue
 		}
+		// Closed and marked in one step: whoever owns the indicator
+		// cannot release past us without taking the mutex we hold.
 		e := l.q.Enqueue(waitq.Reader, p.priority)
 		l.meta.Unlock()
 		p.pi.Emit(lockcore.KindQueueEnqueue, 0, 0)
@@ -239,7 +267,7 @@ func (p *Proc) RUnlock() {
 }
 
 // Lock acquires the lock for writing: one CAS (CloseIfEmpty) when the
-// lock is free, otherwise close-and-enqueue under the queue mutex.
+// lock is free, otherwise close-mark-and-enqueue under the queue mutex.
 func (p *Proc) Lock() { p.lock(lockcore.Deadline{}) }
 
 // lock is the deadline-threaded write-acquire core; a zero deadline
@@ -267,22 +295,24 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 		return true
 	}
 	p.pi.BeginAt(t0, lockcore.PhaseArrive)
+	p.pi.Emit(lockcore.KindArriveFail, 0, 0)
 	if dl.Expired() {
 		p.abandon(lockcore.PhaseArrive, lockcore.GOLLTimeout, lockcore.GOLLCancel, dl)
 		return false
 	}
 	l.meta.LockWith(l.in.Wait)
-	if l.cs.Close() {
-		// The lock drained between our fast path and here; Close
-		// acquired it.
+	if l.cs.CloseAndMark() {
+		// The lock was released between our fast path and here;
+		// CloseAndMark acquired it.
 		l.meta.Unlock()
 		p.pi.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteRoot)
 		p.pi.ProfAcquired(pt, true)
 		l.in.SpanObserve(lockcore.GOLLWriteWait, p.id, w0)
 		return true
 	}
-	// The indicator is now closed over the readers holding it (by our
-	// Close, or an earlier writer's); their last departer hands off.
+	// The indicator is now closed (by us, or an earlier writer) and
+	// marked, in one step: its owner — the write holder, or the last
+	// departer of the read group — cannot release without finding us.
 	p.pi.Emit(lockcore.KindIndClose, 0, 0)
 	e := l.q.Enqueue(waitq.Writer, p.priority)
 	l.meta.Unlock()
@@ -311,9 +341,23 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 	return true
 }
 
-// Unlock releases a write acquisition, handing ownership to the next
-// batch of waiters if any.
+// Unlock releases a write acquisition: one CAS when nobody has queued
+// behind it, otherwise the hand-off of Figure 3.
 func (p *Proc) Unlock() {
+	if p.l.cs.OpenIfNoWaiters() {
+		p.pi.Emit(lockcore.KindIndOpen, 0, 0)
+		p.pi.Released(lockcore.KindWriteReleased)
+		p.pi.ProfReleased()
+		return
+	}
+	p.unlockHandoff()
+}
+
+// unlockHandoff is Unlock with the waiters bit set: take the queue
+// mutex and hand ownership to the next batch of waiters. The queue can
+// still be empty — the bit outlives a cancelled waiter and a
+// writer-to-writer hand-off — and then this is where it is cleared.
+func (p *Proc) unlockHandoff() {
 	l := p.l
 	l.meta.LockWith(l.in.Wait)
 	batch := l.q.DequeueHandoff(waitq.Writer)
@@ -326,8 +370,8 @@ func (p *Proc) Unlock() {
 		return
 	}
 	if batch.Kind == waitq.Reader {
-		// Convert to read-acquired: surplus = group size, closed iff
-		// writers still wait.
+		// Convert to read-acquired: surplus = group size, closed (and
+		// still marked) iff writers still wait.
 		l.cs.OpenWithArrivals(batch.Count(), l.q.NumWriters() != 0)
 		p.pi.Emit(lockcore.KindIndOpen, 0, uint64(batch.Count()))
 	}
@@ -388,8 +432,9 @@ func (p *Proc) Downgrade() {
 	l.in.Inc(lockcore.GOLLDowngrade, p.id)
 	l.meta.LockWith(l.in.Wait)
 	readers := l.q.TakeReaders()
-	// Surplus = us + admitted waiting readers; stays closed if writers
-	// still wait so late readers keep queuing behind them.
+	// Surplus = us + admitted waiting readers; stays closed (and
+	// marked) if writers still wait so late readers keep queuing
+	// behind them and the last departer hands off.
 	l.cs.OpenWithArrivals(1+readers.Count(), l.q.NumWriters() != 0)
 	l.meta.Unlock()
 	p.ticket = l.cs.DirectTicket()

@@ -45,16 +45,34 @@ func (c *Central) Query() (nonzero, open bool) { return c.w.Query() }
 
 // Close implements Indicator.
 func (c *Central) Close() bool {
-	_, acquired := c.w.Close()
+	_, acquired := c.closeReport(false)
 	return acquired
 }
 
-// closeReport exposes the transition/acquisition split for the
-// Instrument wrapper (close events are counted per transition).
-func (c *Central) closeReport() (transitioned, acquired bool) { return c.w.Close() }
+// CloseAndMark implements Indicator.
+func (c *Central) CloseAndMark() bool {
+	_, acquired := c.closeReport(true)
+	return acquired
+}
+
+// closeReport exposes the transition/acquisition split of Close
+// (mark false) and CloseAndMark (mark true) for the Instrument wrapper:
+// close events are counted per transition.
+func (c *Central) closeReport(mark bool) (transitioned, acquired bool) {
+	if mark {
+		return c.w.CloseAndMark()
+	}
+	return c.w.Close()
+}
 
 // CloseIfEmpty implements Indicator.
 func (c *Central) CloseIfEmpty() bool { return c.w.CloseIfEmpty() }
+
+// MarkWaiters implements Indicator.
+func (c *Central) MarkWaiters() bool { return c.w.MarkWaiters() }
+
+// OpenIfNoWaiters implements Indicator.
+func (c *Central) OpenIfNoWaiters() bool { return c.w.OpenIfNoWaiters() }
 
 // Open implements Indicator.
 func (c *Central) Open() { c.w.Open() }

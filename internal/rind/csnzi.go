@@ -66,6 +66,15 @@ func (c *CSNZI) Close() bool { return c.cs.Close() }
 // CloseIfEmpty implements Indicator.
 func (c *CSNZI) CloseIfEmpty() bool { return c.cs.CloseIfEmpty() }
 
+// CloseAndMark implements Indicator.
+func (c *CSNZI) CloseAndMark() bool { return c.cs.CloseAndMark() }
+
+// MarkWaiters implements Indicator.
+func (c *CSNZI) MarkWaiters() bool { return c.cs.MarkWaiters() }
+
+// OpenIfNoWaiters implements Indicator.
+func (c *CSNZI) OpenIfNoWaiters() bool { return c.cs.OpenIfNoWaiters() }
+
 // Open implements Indicator.
 func (c *CSNZI) Open() { c.cs.Open() }
 

@@ -44,6 +44,9 @@ func Describe(ind Indicator) string {
 		if !open {
 			state = "CLOSED"
 		}
+		if x.w.HasWaiters() {
+			state += "+WAITERS"
+		}
 		return fmt.Sprintf("Central{state=%s count=%d nonzero=%v}", state, x.w.Count(), nonzero)
 	default:
 		nonzero, open := ind.Query()

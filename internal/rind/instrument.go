@@ -11,7 +11,7 @@ import (
 // internal accounting.
 type closeReporter interface {
 	Indicator
-	closeReport() (transitioned, acquired bool)
+	closeReport(mark bool) (transitioned, acquired bool)
 }
 
 // Instrument attaches an obs.Stats block to an indicator, returning the
@@ -86,8 +86,13 @@ func (w *instrumented) Depart(t Ticket) bool { return w.inner.Depart(t) }
 func (w *instrumented) Query() (nonzero, open bool) { return w.inner.Query() }
 
 // Close implements Indicator.
-func (w *instrumented) Close() bool {
-	transitioned, acquired := w.inner.closeReport()
+func (w *instrumented) Close() bool { return w.close(false) }
+
+// CloseAndMark implements Indicator.
+func (w *instrumented) CloseAndMark() bool { return w.close(true) }
+
+func (w *instrumented) close(mark bool) bool {
+	transitioned, acquired := w.inner.closeReport(mark)
 	if transitioned {
 		w.st.Inc(obs.CSNZIClose, 0)
 	}
@@ -98,6 +103,18 @@ func (w *instrumented) Close() bool {
 func (w *instrumented) CloseIfEmpty() bool {
 	if w.inner.CloseIfEmpty() {
 		w.st.Inc(obs.CSNZIClose, 0)
+		return true
+	}
+	return false
+}
+
+// MarkWaiters implements Indicator.
+func (w *instrumented) MarkWaiters() bool { return w.inner.MarkWaiters() }
+
+// OpenIfNoWaiters implements Indicator.
+func (w *instrumented) OpenIfNoWaiters() bool {
+	if w.inner.OpenIfNoWaiters() {
+		w.st.Inc(obs.CSNZIOpen, 0)
 		return true
 	}
 	return false

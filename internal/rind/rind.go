@@ -30,9 +30,42 @@
 //
 // Exactly one caller observes each drain: the Depart that takes a
 // closed indicator's surplus to zero returns false (all others return
-// true), or the Close/CloseIfEmpty/TryUpgrade call that transitions an
-// empty indicator reports acquisition. That exactly-once property is
-// what lets the locks hand ownership over without further arbitration.
+// true), or the Close/CloseAndMark/CloseIfEmpty/TryUpgrade call that
+// transitions an empty indicator reports acquisition. That exactly-once
+// property is what lets the locks hand ownership over without further
+// arbitration.
+//
+// # The waiters flag
+//
+// The word that holds closed/surplus also holds one flag the indicator
+// carries but never acts on: "somebody is queued behind the closer" —
+// the Solaris lockword's RW_HAS_WAITERS, which the paper's Figure 3
+// drops when it swaps that word for a C-SNZI, and with it the ability
+// to release in one CAS. A lock whose waiters queue under a mutex
+// (GOLL) uses it like this:
+//
+//   - a thread about to queue holds the queue mutex and sets the flag
+//     in the same atomic step that confirms the indicator is closed
+//     (MarkWaiters for a reader, CloseAndMark for a writer) — on an
+//     open indicator the step fails or acquires, and nobody queues;
+//   - the write owner releases with OpenIfNoWaiters, one CAS from
+//     "closed, zero surplus, no flag" to open, without the mutex; it
+//     fails exactly when the flag is set, and only then does the owner
+//     take the mutex and consult the queue.
+//
+// Because mark and release are CASes on one word, one of them goes
+// first: either the release wins and the would-be waiter sees an open
+// indicator, or the mark wins and the releaser sees the flag. The flag
+// exists only while closed: Open, OpenIfNoWaiters and
+// OpenWithArrivals(n, false) clear it; OpenWithArrivals(n, true) and
+// TryUpgrade keep it; Arrive, Depart and every drain test ignore it. A
+// flag that outlives its waiters (a cancelled wait, a writer-to-writer
+// hand-off) costs the next release one trip through the mutex, whose
+// Open clears it. The plain-store transitions (Open, OpenWithArrivals)
+// must be serialized with MarkWaiters/CloseAndMark by the caller — GOLL
+// runs all of them under its queue mutex; OpenIfNoWaiters and
+// TryUpgrade are CASes and may race them freely. Locks that never mark
+// (FOLL, ROLL) never see the flag.
 package rind
 
 import (
@@ -79,15 +112,37 @@ type Indicator interface {
 	// surplus, reporting whether it did. This is the writer fast path.
 	CloseIfEmpty() bool
 
-	// Open reopens the indicator. It requires (and panics otherwise)
-	// that the indicator is closed with zero surplus.
+	// CloseAndMark is Close for a closer that queues unless it
+	// acquires: it leaves the indicator closed with the waiters flag
+	// set, the two in one atomic step, and returns true iff the caller
+	// thereby acquired the indicator outright (in which case the flag
+	// may or may not have been left set — a set one is merely stale).
+	// On an already-closed indicator it sets the flag and returns
+	// false.
+	CloseAndMark() bool
+
+	// MarkWaiters sets the waiters flag iff the indicator is closed,
+	// reporting whether it is; idempotent. On an open indicator it
+	// changes nothing and returns false.
+	MarkWaiters() bool
+
+	// OpenIfNoWaiters reopens an indicator that is closed with zero
+	// surplus and has no waiters flag, reporting whether it did; on
+	// false nothing changed and the caller still owns the closed
+	// indicator. This is the writer's release fast path: one CAS.
+	OpenIfNoWaiters() bool
+
+	// Open reopens the indicator and clears the waiters flag. It
+	// requires (and panics otherwise) that the indicator is closed
+	// with zero surplus.
 	Open()
 
 	// OpenWithArrivals atomically opens the indicator, performs cnt
-	// direct arrivals, and, if close is set, closes it again. The
-	// matching departures must use DirectTicket, and must not begin
-	// until OpenWithArrivals returns. Like Open it requires the
-	// indicator to be closed with zero surplus.
+	// direct arrivals, and, if close is set, closes it again (keeping
+	// the waiters flag; an open result clears it). The matching
+	// departures must use DirectTicket, and must not begin until
+	// OpenWithArrivals returns. Like Open it requires the indicator to
+	// be closed with zero surplus.
 	OpenWithArrivals(cnt int, close bool)
 
 	// DirectTicket constructs the ticket for a departure matching an
@@ -111,7 +166,8 @@ type Indicator interface {
 	// direct arrival, no other surplus" to "closed with zero surplus"
 	// (write-acquired), regardless of the current open/closed state.
 	// On success the caller's direct arrival is consumed (do not
-	// Depart it). It fails if any other arrival exists.
+	// Depart it) and the waiters flag is kept. It fails if any other
+	// arrival exists.
 	TryUpgrade() bool
 }
 

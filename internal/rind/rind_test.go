@@ -2,6 +2,7 @@ package rind
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,17 +33,25 @@ func implsUnderTest() map[string]Indicator {
 type model struct {
 	surplus int
 	closed  bool
-	direct  int // outstanding tickets with Direct() true
+	waiters bool // the waiters flag; only ever set while closed
+	direct  int  // outstanding tickets with Direct() true
 	other   int
 }
+
+// marked reports whether ind's word shows the waiters flag, read the
+// way a watchdog dump reads it.
+func marked(ind Indicator) bool { return strings.Contains(Describe(ind), "+WAITERS") }
 
 // TestIndicatorPropertySequential drives every implementation plus the
 // reference model through randomized sequential op traces and asserts
 // identical observable behavior: arrive fails iff closed, Depart
-// reports the drain iff it takes a closed indicator to zero, Close and
-// CloseIfEmpty acquire iff open-and-empty, Query mirrors the model
-// state, and TryUpgrade succeeds iff the surplus is exactly one direct
-// arrival.
+// reports the drain iff it takes a closed indicator to zero, Close,
+// CloseAndMark and CloseIfEmpty acquire iff open-and-empty, Query
+// mirrors the model state, TryUpgrade succeeds iff the surplus is
+// exactly one direct arrival — and the waiters flag is set by exactly
+// MarkWaiters/CloseAndMark on a closed indicator, gates exactly
+// OpenIfNoWaiters, survives exactly the closed-to-closed transitions,
+// and changes none of the other answers.
 func TestIndicatorPropertySequential(t *testing.T) {
 	for name, ind := range implsUnderTest() {
 		t.Run(name, func(t *testing.T) {
@@ -75,7 +84,10 @@ func runTrace(t *testing.T, ind Indicator, rng *rand.Rand, steps int) {
 		}
 	}
 	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(10); op {
+		if got := marked(ind); got != m.waiters {
+			t.Fatalf("step %d: waiters flag %v, model %v (%s)", step, got, m.waiters, Describe(ind))
+		}
+		switch op := rng.Intn(12); op {
 		case 0, 1, 2: // arrive
 			tk := ind.Arrive(rng.Intn(8))
 			if tk.Arrived() != !m.closed {
@@ -98,14 +110,23 @@ func runTrace(t *testing.T, ind Indicator, rng *rand.Rand, steps int) {
 			if got := ind.Depart(tk); got != wantAlive {
 				t.Fatalf("step %d: Depart=%v, want %v (closed=%v surplus=%d)", step, got, wantAlive, m.closed, m.surplus)
 			}
-		case 6: // close or closeIfEmpty
+		case 6: // close, closeAndMark or closeIfEmpty
 			wantAcq := !m.closed && m.surplus == 0
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(3) {
+			case 0:
 				if got := ind.Close(); got != wantAcq {
 					t.Fatalf("step %d: Close=%v, want %v (closed=%v surplus=%d)", step, got, wantAcq, m.closed, m.surplus)
 				}
 				m.closed = true
-			} else {
+			case 1:
+				if got := ind.CloseAndMark(); got != wantAcq {
+					t.Fatalf("step %d: CloseAndMark=%v, want %v (closed=%v surplus=%d)", step, got, wantAcq, m.closed, m.surplus)
+				}
+				m.closed = true
+				// An outright acquisition may leave the flag either way
+				// (the contract allows a stale one); anything else sets it.
+				m.waiters = !wantAcq || marked(ind)
+			default:
 				if got := ind.CloseIfEmpty(); got != wantAcq {
 					t.Fatalf("step %d: CloseIfEmpty=%v, want %v", step, got, wantAcq)
 				}
@@ -125,6 +146,7 @@ func runTrace(t *testing.T, ind Indicator, rng *rand.Rand, steps int) {
 				ind.OpenWithArrivals(cnt, close)
 			}
 			m.closed = close
+			m.waiters = m.waiters && close
 			m.surplus += cnt
 			m.direct += cnt
 			for j := 0; j < cnt; j++ {
@@ -157,10 +179,272 @@ func runTrace(t *testing.T, ind Indicator, rng *rand.Rand, steps int) {
 			}
 			if wantUp {
 				// The sole direct arrival is consumed: write-acquired.
-				m = model{closed: true}
+				m = model{closed: true, waiters: m.waiters}
 				tickets = tickets[:0]
 			}
+		case 10: // markWaiters
+			if got := ind.MarkWaiters(); got != m.closed {
+				t.Fatalf("step %d: MarkWaiters=%v, model closed=%v", step, got, m.closed)
+			}
+			m.waiters = m.closed
+		case 11: // openIfNoWaiters
+			want := m.closed && m.surplus == 0 && !m.waiters
+			if got := ind.OpenIfNoWaiters(); got != want {
+				t.Fatalf("step %d: OpenIfNoWaiters=%v, want %v (closed=%v surplus=%d waiters=%v)", step, got, want, m.closed, m.surplus, m.waiters)
+			}
+			if want {
+				m.closed = false
+			}
 		}
+	}
+}
+
+// TestWaitersFlagContract is the contract table for the waiters flag,
+// one row per obligation, over every indicator bare and behind the
+// Instrument wrapper. Each row starts from a fresh open indicator.
+func TestWaitersFlagContract(t *testing.T) {
+	// holdClosedMarked leaves ind closed and marked with n direct
+	// arrivals outstanding.
+	holdClosedMarked := func(t *testing.T, ind Indicator, n int) {
+		t.Helper()
+		if !ind.CloseIfEmpty() || !ind.MarkWaiters() {
+			t.Fatal("could not close and mark a fresh indicator")
+		}
+		if n > 0 {
+			ind.OpenWithArrivals(n, true)
+		}
+		if !marked(ind) {
+			t.Fatalf("set-up lost the flag: %s", Describe(ind))
+		}
+	}
+	wantWriteAcquired := func(t *testing.T, ind Indicator, wantMarked bool) {
+		t.Helper()
+		if nonzero, open := ind.Query(); nonzero || open || marked(ind) != wantMarked {
+			t.Fatalf("want closed, zero surplus, marked=%v; got %s", wantMarked, Describe(ind))
+		}
+	}
+	wantFree := func(t *testing.T, ind Indicator) {
+		t.Helper()
+		// CloseIfEmpty is one CAS expecting the exact open/zero word.
+		if marked(ind) || !ind.CloseIfEmpty() {
+			t.Fatalf("want open, zero surplus, unmarked; got %s", Describe(ind))
+		}
+		ind.Open()
+	}
+	rows := []struct {
+		name string
+		run  func(t *testing.T, ind Indicator)
+	}{
+		{"mark on open fails and changes nothing", func(t *testing.T, ind Indicator) {
+			before := Describe(ind)
+			if ind.MarkWaiters() {
+				t.Fatal("MarkWaiters succeeded on an open indicator")
+			}
+			if after := Describe(ind); after != before {
+				t.Fatalf("failed mark changed the word: %s -> %s", before, after)
+			}
+			tk := ind.Arrive(0)
+			if !tk.Arrived() || ind.MarkWaiters() || marked(ind) {
+				t.Fatalf("open indicator with surplus: arrived=%v, %s", tk.Arrived(), Describe(ind))
+			}
+			ind.Depart(tk)
+			wantFree(t, ind)
+		}},
+		{"mark is idempotent", func(t *testing.T, ind Indicator) {
+			ind.CloseIfEmpty()
+			if !ind.MarkWaiters() {
+				t.Fatal("MarkWaiters failed on a closed indicator")
+			}
+			once := Describe(ind)
+			if !ind.MarkWaiters() || Describe(ind) != once {
+				t.Fatalf("second mark: %s -> %s", once, Describe(ind))
+			}
+			wantWriteAcquired(t, ind, true)
+		}},
+		{"open-if-no-waiters is the unmarked release", func(t *testing.T, ind Indicator) {
+			if ind.OpenIfNoWaiters() {
+				t.Fatal("OpenIfNoWaiters succeeded on an open indicator")
+			}
+			ind.CloseIfEmpty()
+			wantWriteAcquired(t, ind, false)
+			if !ind.OpenIfNoWaiters() {
+				t.Fatalf("OpenIfNoWaiters failed on %s", Describe(ind))
+			}
+			wantFree(t, ind)
+		}},
+		{"open-if-no-waiters fails when marked, and changes nothing", func(t *testing.T, ind Indicator) {
+			holdClosedMarked(t, ind, 0)
+			before := Describe(ind)
+			if ind.OpenIfNoWaiters() {
+				t.Fatal("OpenIfNoWaiters released past the waiters flag")
+			}
+			if after := Describe(ind); after != before {
+				t.Fatalf("failed release changed the word: %s -> %s", before, after)
+			}
+			if ind.Arrive(0).Arrived() {
+				t.Fatal("arrival succeeded after a failed release")
+			}
+		}},
+		{"open-if-no-waiters fails with surplus", func(t *testing.T, ind Indicator) {
+			tk := ind.Arrive(0)
+			ind.Close()
+			if ind.OpenIfNoWaiters() {
+				t.Fatal("OpenIfNoWaiters opened an indicator its caller does not own")
+			}
+			if ind.Depart(tk) {
+				t.Fatal("last departer of a closed indicator not told so")
+			}
+			if !ind.OpenIfNoWaiters() {
+				t.Fatalf("OpenIfNoWaiters failed on the drained indicator %s", Describe(ind))
+			}
+			wantFree(t, ind)
+		}},
+		{"Open clears the flag", func(t *testing.T, ind Indicator) {
+			holdClosedMarked(t, ind, 0)
+			ind.Open()
+			wantFree(t, ind)
+		}},
+		{"OpenWithArrivals(n, false) clears the flag", func(t *testing.T, ind Indicator) {
+			holdClosedMarked(t, ind, 0)
+			ind.OpenWithArrivals(2, false)
+			if _, open := ind.Query(); !open || marked(ind) {
+				t.Fatalf("want open and unmarked, got %s", Describe(ind))
+			}
+			ind.Depart(ind.DirectTicket())
+			ind.Depart(ind.DirectTicket())
+			wantFree(t, ind)
+		}},
+		{"OpenWithArrivals(n, true) keeps the flag; the last departer still drains", func(t *testing.T, ind Indicator) {
+			holdClosedMarked(t, ind, 2)
+			if ind.Arrive(0).Arrived() {
+				t.Fatal("arrival succeeded on a closed indicator")
+			}
+			if !ind.Depart(ind.DirectTicket()) {
+				t.Fatal("first of two departers reported the drain")
+			}
+			if ind.Depart(ind.DirectTicket()) {
+				t.Fatal("last departer of a closed, marked indicator not told so")
+			}
+			wantWriteAcquired(t, ind, true)
+		}},
+		{"OpenWithArrivals(n, true) does not invent the flag", func(t *testing.T, ind Indicator) {
+			ind.CloseIfEmpty()
+			ind.OpenWithArrivals(1, true)
+			if marked(ind) {
+				t.Fatalf("unmarked indicator came back marked: %s", Describe(ind))
+			}
+			if ind.Depart(ind.DirectTicket()) {
+				t.Fatal("last departer not told so")
+			}
+			wantWriteAcquired(t, ind, false)
+		}},
+		{"last distributed departer drains with the flag set", func(t *testing.T, ind Indicator) {
+			tks := []Ticket{ind.Arrive(1), ind.Arrive(2)}
+			if ind.CloseAndMark() {
+				t.Fatal("CloseAndMark acquired over two arrivals")
+			}
+			if !marked(ind) || !ind.Depart(tks[0]) || ind.Depart(tks[1]) {
+				t.Fatalf("drain misreported under the flag: %s", Describe(ind))
+			}
+			wantWriteAcquired(t, ind, true)
+		}},
+		{"closed, zero surplus, marked refuses arrivals", func(t *testing.T, ind Indicator) {
+			holdClosedMarked(t, ind, 0)
+			for id := 0; id < 8; id++ {
+				if ind.Arrive(id).Arrived() {
+					t.Fatalf("arrival %d succeeded on %s", id, Describe(ind))
+				}
+			}
+			wantWriteAcquired(t, ind, true)
+		}},
+		{"CloseAndMark on a free indicator acquires", func(t *testing.T, ind Indicator) {
+			if !ind.CloseAndMark() {
+				t.Fatal("CloseAndMark did not acquire a free indicator")
+			}
+			// The flag may be left set (stale) or clear; either way the
+			// owner's slow release must work.
+			if nonzero, open := ind.Query(); nonzero || open {
+				t.Fatalf("want write-acquired, got %s", Describe(ind))
+			}
+			ind.Open()
+			wantFree(t, ind)
+		}},
+		{"CloseAndMark on a closed indicator marks it", func(t *testing.T, ind Indicator) {
+			ind.CloseIfEmpty()
+			if ind.CloseAndMark() {
+				t.Fatal("CloseAndMark acquired an indicator somebody else owns")
+			}
+			wantWriteAcquired(t, ind, true)
+		}},
+		{"TryUpgrade keeps the flag", func(t *testing.T, ind Indicator) {
+			tk := ind.TradeToRoot(ind.Arrive(0))
+			if ind.CloseAndMark() || !tk.Direct() {
+				t.Fatal("set-up: sole reader with a writer queued behind it")
+			}
+			if !ind.TryUpgrade() {
+				t.Fatalf("sole direct arrival failed to upgrade: %s", Describe(ind))
+			}
+			wantWriteAcquired(t, ind, true)
+			if ind.OpenIfNoWaiters() {
+				t.Fatal("upgrader released past the queued writer's flag")
+			}
+		}},
+		{"TryUpgrade of an unmarked indicator leaves it unmarked", func(t *testing.T, ind Indicator) {
+			ind.TradeToRoot(ind.Arrive(0))
+			if !ind.TryUpgrade() {
+				t.Fatal("sole direct arrival failed to upgrade")
+			}
+			wantWriteAcquired(t, ind, false)
+			if !ind.OpenIfNoWaiters() {
+				t.Fatal("upgrader's fast release failed")
+			}
+			wantFree(t, ind)
+		}},
+	}
+	for name := range implsUnderTest() {
+		for _, wrapped := range []bool{false, true} {
+			for _, row := range rows {
+				impl := name
+				if wrapped {
+					impl += "+instrument"
+				}
+				t.Run(impl+"/"+row.name, func(t *testing.T) {
+					ind := implsUnderTest()[name]
+					if wrapped {
+						ind = Instrument(ind, obs.New(obs.WithScopes("csnzi")))
+					}
+					row.run(t, ind)
+				})
+			}
+		}
+	}
+}
+
+// TestInstrumentCountsMarkedTransitions: CloseAndMark counts a close
+// per open-to-closed transition (not per mark), OpenIfNoWaiters an open
+// per success — so csnzi.close and csnzi.open still pair up.
+func TestInstrumentCountsMarkedTransitions(t *testing.T) {
+	for name := range implsUnderTest() {
+		t.Run(name, func(t *testing.T) {
+			st := obs.New(obs.WithScopes("csnzi"))
+			ind := Instrument(implsUnderTest()[name], st)
+			ind.CloseAndMark()    // transition (acquires)
+			ind.CloseAndMark()    // mark only
+			ind.MarkWaiters()     // no event
+			ind.OpenIfNoWaiters() // fails when marked: no event
+			ind.Open()            // open
+			tk := ind.Arrive(0)   //
+			ind.CloseAndMark()    // transition, not acquired
+			ind.Depart(tk)        // drain
+			ind.Open()            // open
+			ind.CloseIfEmpty()    // transition
+			ind.OpenIfNoWaiters() // open
+			ind.OpenIfNoWaiters() // fails on open: no event
+			sn := st.Snapshot()
+			if c, o := sn.Counter("csnzi.close"), sn.Counter("csnzi.open"); c != 3 || o != 3 {
+				t.Fatalf("csnzi.close=%d csnzi.open=%d, want 3 and 3", c, o)
+			}
+		})
 	}
 }
 

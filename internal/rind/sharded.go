@@ -27,9 +27,11 @@ import (
 // Gate word: bit 63 = closed, bit 62 = drained (the closed indicator's
 // surplus has provably reached zero; claimed by exactly one CAS), bit
 // 61 = pending (a multi-step probe or open-transition is in flight),
-// bits 31-60 = close-epoch sequence counter (incremented on every open
-// transition), low 31 bits = direct-arrival count (OpenWithArrivals
-// hand-offs and TradeToRoot transfers).
+// bit 60 = waiters (the contract's flag: set only while closed, by
+// MarkWaiters/CloseAndMark; carried, never acted on), bits 31-59 =
+// close-epoch sequence counter (incremented on every open transition),
+// low 31 bits = direct-arrival count (OpenWithArrivals hand-offs and
+// TradeToRoot transfers).
 //
 // The epoch counter exists to break an ABA on the drain claim: without
 // it, the gate word "closed, direct=0" recurs bit-identically in every
@@ -39,7 +41,7 @@ import (
 // lock over while new-epoch readers hold slot arrivals. With the epoch
 // in the word, a claim CAS formed in epoch N can only succeed while the
 // gate is still in epoch N, where the claim is genuine. (The counter
-// wraps at 2^30 opens; a claimant would have to stall across exactly
+// wraps at 2^29 opens; a claimant would have to stall across exactly
 // that many open transitions to alias, the standard seqlock caveat.)
 //
 // Slot ingress word: bit 63 = sealed, low bits = cumulative arrivals.
@@ -57,11 +59,19 @@ import (
 // drained bit's CAS makes its observation exactly-once.
 //
 // While the gate is pending — CloseIfEmpty and TryUpgrade probe via
-// pending so they can roll back, and Open/OpenWithArrivals reset the
-// slot pairs under it — arrivals spin rather than fail, and Close
-// waits. Arrive therefore fails iff the indicator is closed, with no
-// transient-failure window (a GOLL reader that fails must find a
-// closer to queue behind).
+// pending so they can roll back, and the open transitions reset the
+// slot pairs under it — arrivals spin rather than fail, and Close,
+// CloseAndMark and MarkWaiters wait (a probe's commit CAS expects the
+// exact word it published). Arrive therefore fails iff the indicator is
+// closed, with no transient-failure window (a GOLL reader that fails
+// must find a closer to queue behind).
+//
+// The owner of a drained gate is its only writer but for one thing: a
+// waiter may CAS the waiters flag in. Open and OpenWithArrivals rely on
+// their caller to serialize them with markers (the contract; GOLL's
+// queue mutex) and use plain stores; OpenIfNoWaiters runs without that
+// mutex, so its first gate write — closed+drained to pending — is a
+// CAS, which a concurrent mark makes fail.
 type Sharded struct {
 	gate  atomicx.PaddedUint64
 	slots []shard
@@ -87,8 +97,9 @@ const (
 	gateClosed     = uint64(1) << 63
 	gateDrained    = uint64(1) << 62
 	gatePending    = uint64(1) << 61
+	gateWaiters    = uint64(1) << 60
 	gateEpochShift = 31
-	gateEpochMask  = ((uint64(1) << 30) - 1) << gateEpochShift
+	gateEpochMask  = ((uint64(1) << 29) - 1) << gateEpochShift
 	gateEpochInc   = uint64(1) << gateEpochShift
 	gateDirectMask = (uint64(1) << 31) - 1
 )
@@ -289,29 +300,63 @@ func (s *Sharded) Query() (nonzero, open bool) {
 
 // Close implements Indicator.
 func (s *Sharded) Close() bool {
-	_, acquired := s.closeReport()
+	_, acquired := s.closeReport(false)
 	return acquired
 }
 
-// closeReport exposes the transition/acquisition split for the
-// Instrument wrapper.
-func (s *Sharded) closeReport() (transitioned, acquired bool) {
+// CloseAndMark implements Indicator. Emptiness is only known after the
+// closing CAS (the sum needs sealed slots), so a closer that acquires
+// outright leaves the flag it set behind, stale.
+func (s *Sharded) CloseAndMark() bool {
+	_, acquired := s.closeReport(true)
+	return acquired
+}
+
+// closeReport is Close (mark false) and CloseAndMark (mark true) with
+// the transition/acquisition split the Instrument wrapper counts by.
+func (s *Sharded) closeReport(mark bool) (transitioned, acquired bool) {
+	var flags uint64 = gateClosed
+	if mark {
+		flags |= gateWaiters
+	}
 	ld := s.pol.Ladder()
 	for {
 		g := s.gate.Load()
-		if g&gateClosed != 0 {
+		if g&flags == flags {
 			return false, false
 		}
 		if g&gatePending != 0 {
 			ld.Pause() // wait out the probe / open-transition
 			continue
 		}
-		if s.gate.CompareAndSwap(g, g|gateClosed) {
-			s.sealed(g)
-			// Seal and try to claim the drain ourselves. Losing the
-			// race (or finding surplus) is fine: the last departer's
-			// own sum claims it then.
-			return true, s.tryDrain(g | gateClosed)
+		if !s.gate.CompareAndSwap(g, g|flags) {
+			ld.Pause()
+			continue
+		}
+		if g&gateClosed != 0 {
+			return false, false // already closed: marked only
+		}
+		s.sealed(g)
+		// Seal and try to claim the drain ourselves. Losing the race
+		// (or finding surplus) is fine: the last departer's own sum
+		// claims it then.
+		return true, s.tryDrain(g | flags)
+	}
+}
+
+// MarkWaiters implements Indicator.
+func (s *Sharded) MarkWaiters() bool {
+	ld := s.pol.Ladder()
+	for {
+		g := s.gate.Load()
+		switch {
+		case g&gatePending != 0:
+			// Wait the probe / open-transition out: it may commit either
+			// way, and its CAS must find the word it published.
+		case g&gateClosed == 0:
+			return false
+		case g&gateWaiters != 0 || s.gate.CompareAndSwap(g, g|gateWaiters):
+			return true
 		}
 		ld.Pause()
 	}
@@ -349,6 +394,24 @@ func (s *Sharded) clearPending() {
 	}
 }
 
+// OpenIfNoWaiters implements Indicator. Unlike Open it may race a
+// marker, so the step out of closed+drained is a CAS; from there the
+// caller is the gate's only writer again (markers, closers and arrivals
+// all wait out pending).
+func (s *Sharded) OpenIfNoWaiters() bool {
+	g := s.gate.Load()
+	if g&^gateEpochMask != gateClosed|gateDrained {
+		return false
+	}
+	epoch := (g&gateEpochMask + gateEpochInc) & gateEpochMask
+	if !s.gate.CompareAndSwap(g, epoch|gatePending) {
+		return false // a waiter marked the gate under us
+	}
+	s.resetSlots()
+	s.gate.Store(epoch)
+	return true
+}
+
 // Open implements Indicator.
 func (s *Sharded) Open() {
 	s.openWithArrivals(0, false)
@@ -364,7 +427,7 @@ func (s *Sharded) OpenWithArrivals(cnt int, close bool) {
 
 func (s *Sharded) openWithArrivals(cnt int, close bool) {
 	g := s.gate.Load()
-	if g&^gateEpochMask != gateClosed|gateDrained {
+	if g&^(gateEpochMask|gateWaiters) != gateClosed|gateDrained {
 		panic(fmt.Sprintf("rind: Open on %s", s.describe(g)))
 	}
 	epoch := g & gateEpochMask
@@ -376,7 +439,7 @@ func (s *Sharded) openWithArrivals(cnt int, close bool) {
 		// Handed-off direct arrivals under a still-closed gate; the
 		// slots stay sealed (so their sums cannot move) and the last
 		// direct departer re-drains, all within the same close epoch.
-		s.gate.Store(gateClosed | epoch | w)
+		s.gate.Store(gateClosed | g&gateWaiters | epoch | w)
 		return
 	}
 	// Open transition: bump the close epoch, retiring any drain claim
@@ -384,17 +447,24 @@ func (s *Sharded) openWithArrivals(cnt int, close bool) {
 	// slot pairs under the pending state so concurrent closers wait and
 	// arrivals spin (a plain reset would race a closer's seals). The
 	// owner of a drained indicator is the only possible gate writer
-	// here, so plain stores suffice for the gate itself. Per slot the
-	// egress resets before the ingress: the ingress store also unseals,
-	// and a stale arriver may CAS the slot the moment it is unsealed.
+	// here (markers are the caller's to exclude), so plain stores
+	// suffice for the gate itself.
 	epoch = (epoch + gateEpochInc) & gateEpochMask
 	s.gate.Store(epoch | gatePending)
+	s.resetSlots()
+	s.gate.Store(epoch | w)
+}
+
+// resetSlots zeroes every slot pair for a new open epoch; the caller
+// holds the gate pending. Per slot the egress resets before the
+// ingress: the ingress store also unseals, and a stale arriver may CAS
+// the slot the moment it is unsealed.
+func (s *Sharded) resetSlots() {
 	for i := range s.slots {
 		sl := &s.slots[i]
 		sl.egress.Store(0)
 		sl.ingress.Store(0)
 	}
-	s.gate.Store(epoch | w)
 }
 
 // DirectTicket implements Indicator.
@@ -434,7 +504,7 @@ func (s *Sharded) SoleDirect() bool {
 
 // TryUpgrade implements Indicator: probe via pending (stalling
 // arrivals), seal and sum, and either commit — consuming the caller's
-// direct arrival — or roll back.
+// direct arrival, keeping the waiters flag — or roll back.
 func (s *Sharded) TryUpgrade() bool {
 	ld := s.pol.Ladder()
 	var g uint64
@@ -453,7 +523,7 @@ func (s *Sharded) TryUpgrade() bool {
 		ld.Pause()
 	}
 	wasClosed := g&gateClosed != 0
-	if s.sumSealed() == 0 && s.gate.CompareAndSwap(g|gatePending, g&gateEpochMask|gateClosed|gateDrained) {
+	if s.sumSealed() == 0 && s.gate.CompareAndSwap(g|gatePending, g&(gateEpochMask|gateWaiters)|gateClosed|gateDrained) {
 		s.sealed(g)
 		return true // sole arrival consumed; write-acquired
 	}
@@ -476,6 +546,9 @@ func (s *Sharded) describe(g uint64) string {
 	}
 	if g&gateDrained != 0 {
 		state += "+DRAINED"
+	}
+	if g&gateWaiters != 0 {
+		state += "+WAITERS"
 	}
 	return fmt.Sprintf("Sharded{state=%s epoch=%d direct=%d slots=%d}",
 		state, (g&gateEpochMask)>>gateEpochShift, g&gateDirectMask, s.quickSum())

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,20 +158,35 @@ func TestWithMetricsImpliesStats(t *testing.T) {
 }
 
 // TestSamplerOverheadBounded pins the "sampling is pull-only" claim:
-// a 100%-read workload with a 100ms sampler attached must stay within
+// a 100%-read workload with a 100ms sampler attached must cost within
 // a few percent of the same workload without one. The sampler reads
 // the lock's striped counters; the lock never writes anything for the
 // sampler's benefit, so the only possible cost is cache traffic from
-// the periodic sweep. The bound here is 10% — generous against CI
-// noise; the typical measured cost is well under 2%.
+// the periodic sweep (and the sweep itself). The bound here is 10% —
+// generous against noise; the typical measured cost is well under 2%.
+//
+// Each side runs a fixed number of operations and is charged the
+// process CPU time it took, not the wall-clock time: `go test ./...`
+// runs the simulator suite on the other core at the same moment, and
+// an ops-per-second comparison measures which side the scheduler
+// happened to preempt (it failed one tier-1 run in five on code that
+// had not changed). CPU time per operation only moves if this process
+// does more work per operation, sampler sweeps included. One worker
+// drives the lock: with several, CPU per operation measures how often
+// the scheduler happened to run them in parallel on the one contended
+// root word (150-240 ns from run to run on two processors), which
+// swamps anything a sampler could cost.
 func TestSamplerOverheadBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped with -short")
 	}
-	readOps := func(withSampler bool) float64 {
-		var opts []ollock.Option
+	if processCPU() == 0 {
+		t.Skip("no process CPU clock on this platform")
+	}
+	const ops = 12_000_000 // several 100ms sampler periods per side
+	cpuPerOp := func(withSampler bool) float64 {
+		opts := []ollock.Option{ollock.WithStats("")}
 		var m *ollock.Metrics
-		opts = append(opts, ollock.WithStats(""))
 		if withSampler {
 			m = ollock.NewMetrics(ollock.MetricsPeriod(100 * time.Millisecond))
 			opts = append(opts, ollock.WithMetrics(m))
@@ -185,46 +199,36 @@ func TestSamplerOverheadBounded(t *testing.T) {
 			m.Start()
 			defer m.Stop()
 		}
-		const procs = 4
-		var total atomic.Uint64
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for i := 0; i < procs; i++ {
-			p := l.NewProc()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var n uint64
-				for {
-					select {
-					case <-stop:
-						total.Add(n)
-						return
-					default:
-					}
-					p.RLock()
-					p.RUnlock()
-					n++
-				}
-			}()
+		p := l.NewProc()
+		cpu0 := processCPU()
+		for n := 0; n < ops; n++ {
+			p.RLock()
+			p.RUnlock()
 		}
-		time.Sleep(time.Second)
-		close(stop)
-		wg.Wait()
-		return float64(total.Load())
+		cpu := processCPU() - cpu0
+		if m != nil && m.Samples() == 0 {
+			t.Fatalf("the workload (%v of CPU) ended before the sampler took a sample", cpu)
+		}
+		return float64(cpu) / ops
 	}
-	// Interleave A/B pairs and keep the best pair: a scheduler hiccup
-	// in one interval (common on small CI machines) shows up as one bad
-	// pair, while a real sampler cost would depress every pair.
-	best := 0.0
+	// Interleave A/B pairs and compare the best run of each side: on a
+	// shared host interference only ever adds CPU time to a run (cache
+	// pollution, a GC cycle), so the minimum is each side's cleanest
+	// look at its own cost — and a real sampler cost, paid every 100ms
+	// of every run, raises the sampled side's minimum too.
+	var bestWith, bestWithout float64
 	for i := 0; i < 3; i++ {
-		ratio := readOps(true) / readOps(false)
-		t.Logf("pair %d: read ops with sampler / without = %.4f", i, ratio)
-		if ratio > best {
-			best = ratio
+		with, without := cpuPerOp(true), cpuPerOp(false)
+		t.Logf("pair %d: CPU ns/op with sampler %.1f, without %.1f", i, with, without)
+		if i == 0 || with < bestWith {
+			bestWith = with
+		}
+		if i == 0 || without < bestWithout {
+			bestWithout = without
 		}
 	}
-	if best < 0.90 {
-		t.Fatalf("100ms sampler cost the read path %.1f%% in every run (want < 10%%)", (1-best)*100)
+	if bestWithout < 0.90*bestWith {
+		t.Fatalf("100ms sampler cost the read path %.1f%% CPU per operation (best of 3: %.1f ns with, %.1f ns without; want < 10%%)",
+			(bestWith/bestWithout-1)*100, bestWith, bestWithout)
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ollock"
 	"ollock/internal/prof"
@@ -15,16 +17,30 @@ import (
 // writer path reliably contends, with every acquisition sampled. The
 // Gosched inside each critical section forces goroutine overlap even
 // on GOMAXPROCS=1, where otherwise a nanosecond critical section would
-// never be observed held.
+// never be observed held. That overlap is still the scheduler's to
+// give (about one run in 200 got none at all), so the first round
+// contends by construction: one goroutine holds the write lock until
+// the other three are on their way into their first acquisition.
 func profileWorkload(t *testing.T, l ollock.Lock, iters int) {
 	t.Helper()
 	var wg sync.WaitGroup
+	var arriving atomic.Int32
 	shared := 0
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			p := l.NewProc()
+			if g == 0 {
+				p.Lock()
+				for arriving.Load() < 3 {
+					runtime.Gosched()
+				}
+				time.Sleep(time.Millisecond)
+				p.Unlock()
+			} else {
+				arriving.Add(1)
+			}
 			for i := 0; i < iters; i++ {
 				if i%4 == 0 {
 					p.Lock()
@@ -38,7 +54,7 @@ func profileWorkload(t *testing.T, l ollock.Lock, iters int) {
 					p.RUnlock()
 				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 }
