@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -35,20 +36,29 @@ var panels = map[string]float64{
 var panelOrder = []string{"a", "b", "c", "d", "e", "f"}
 
 func main() {
-	panel := flag.String("panel", "all", "panel to regenerate: a (100% reads), b (99%), c (95%), d (80%), e (50%), f (0%), or all")
-	threadsFlag := flag.String("threads", "1,2,4,8,16,32,48,64,96,128,192,256", "comma-separated thread counts")
-	ops := flag.Int("ops", 200, "acquisitions per simulated thread")
-	runs := flag.Int("runs", 1, "runs to average (paper uses 3)")
-	seed := flag.Uint64("seed", 42, "base PRNG seed")
-	locksFlag := flag.String("locks", "", "comma-separated lock subset (default: the paper's five)")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	asPlot := flag.Bool("plot", false, "draw ASCII charts instead of tables")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: arguments in, output and exit status out.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("simfig5", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	panel := fs.String("panel", "all", "panel to regenerate: a (100% reads), b (99%), c (95%), d (80%), e (50%), f (0%), or all")
+	threadsFlag := fs.String("threads", "1,2,4,8,16,32,48,64,96,128,192,256", "comma-separated thread counts")
+	ops := fs.Int("ops", 200, "acquisitions per simulated thread")
+	runs := fs.Int("runs", 1, "runs to average (paper uses 3)")
+	seed := fs.Uint64("seed", 42, "base PRNG seed")
+	locksFlag := fs.String("locks", "", "comma-separated lock subset (default: the paper's five)")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	asPlot := fs.Bool("plot", false, "draw ASCII charts instead of tables")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	threads, err := parseInts(*threadsFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "simfig5:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "simfig5:", err)
+		return 2
 	}
 	locks := simlock.Figure5Locks()
 	if *locksFlag != "" {
@@ -56,8 +66,8 @@ func main() {
 		for _, name := range strings.Split(*locksFlag, ",") {
 			f := simlock.ByName(strings.TrimSpace(name))
 			if f == nil {
-				fmt.Fprintf(os.Stderr, "simfig5: unknown lock %q\n", name)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "simfig5: unknown lock %q\n", name)
+				return 2
 			}
 			locks = append(locks, *f)
 		}
@@ -68,12 +78,12 @@ func main() {
 	} else if _, ok := panels[*panel]; ok {
 		selected = []string{*panel}
 	} else {
-		fmt.Fprintf(os.Stderr, "simfig5: unknown panel %q\n", *panel)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "simfig5: unknown panel %q\n", *panel)
+		return 2
 	}
 
 	if *csv {
-		fmt.Println("panel,read_pct,lock,threads,throughput_acq_per_s")
+		fmt.Fprintln(stdout, "panel,read_pct,lock,threads,throughput_acq_per_s")
 	}
 	for _, p := range selected {
 		frac := panels[p]
@@ -96,7 +106,7 @@ func main() {
 		case *csv:
 			for li, l := range locks {
 				for ti, n := range threads {
-					fmt.Printf("%s,%.0f,%s,%d,%.6e\n", p, frac*100, l.Name, n, results[li][ti])
+					fmt.Fprintf(stdout, "%s,%.0f,%s,%d,%.6e\n", p, frac*100, l.Name, n, results[li][ti])
 				}
 			}
 		case *asPlot:
@@ -108,28 +118,29 @@ func main() {
 				}
 				series[li] = plot.Series{Name: l.Name, X: xs, Y: results[li]}
 			}
-			if err := plot.Render(os.Stdout, title, series, 72, 18); err != nil {
-				fmt.Fprintln(os.Stderr, "simfig5:", err)
-				os.Exit(1)
+			if err := plot.Render(stdout, title, series, 72, 18); err != nil {
+				fmt.Fprintln(stderr, "simfig5:", err)
+				return 1
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		default:
-			fmt.Println(title)
-			fmt.Printf("%-9s", "threads")
+			fmt.Fprintln(stdout, title)
+			fmt.Fprintf(stdout, "%-9s", "threads")
 			for _, l := range locks {
-				fmt.Printf(" %12s", l.Name)
+				fmt.Fprintf(stdout, " %12s", l.Name)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 			for ti, n := range threads {
-				fmt.Printf("%-9d", n)
+				fmt.Fprintf(stdout, "%-9d", n)
 				for li := range locks {
-					fmt.Printf(" %12.3e", results[li][ti])
+					fmt.Fprintf(stdout, " %12.3e", results[li][ti])
 				}
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
+	return 0
 }
 
 func parseInts(s string) ([]int, error) {

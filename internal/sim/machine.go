@@ -18,11 +18,14 @@
 // the word and wakes it at the writer's virtual time, so waiting costs
 // no simulation work. Runs are fully deterministic: same program + same
 // seeds => identical final clocks, access counts, and results.
+//
+// Each simulated thread is a coroutine (iter.Pull), so the package needs
+// a Go >= 1.23 toolchain; see DESIGN.md §4, "Engine".
 package sim
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 )
 
 // Config describes the simulated machine.
@@ -102,24 +105,38 @@ type thread struct {
 	id, core, chip int
 	clock          int64
 	state          int
-	grant          chan struct{}
-	heapIdx        int
 	rng            uint64 // per-thread jitter state
 	// accounting
 	accesses int64
 	remote   int64
+	// The thread's coroutine, which exists only while Run does: resume
+	// runs the body until it next parks, stop unwinds a parked body.
+	resume func() (struct{}, bool)
+	stop   func()
+}
+
+// heapEntry is a ready thread keyed by the clock it asks to run at. A
+// thread's clock cannot change while it waits in the heap, so the key
+// is carried by value and an ordering comparison touches the thread
+// itself only on a tie.
+type heapEntry struct {
+	clock int64
+	t     *thread
+}
+
+func (a heapEntry) before(b heapEntry) bool {
+	return a.clock < b.clock || (a.clock == b.clock && a.t.id < b.t.id)
 }
 
 // Machine is one simulation instance. Create with New, add programs with
 // Spawn, then call Run exactly once.
 type Machine struct {
-	cfg      Config
-	threads  []*thread
-	bodies   []func(*Ctx)
-	stepDone chan *thread
-	heap     []*thread
-	words    int
-	trace    func(Event)
+	cfg     Config
+	threads []*thread
+	bodies  []func(*Ctx)
+	heap    []heapEntry // ready threads other than the running one
+	words   int
+	trace   func(Event)
 	// Accounting available after Run.
 	steps int64
 }
@@ -143,7 +160,7 @@ func New(cfg Config) *Machine {
 	if cfg.CostLocal <= 0 || cfg.CostCore <= 0 || cfg.CostShared <= 0 || cfg.CostRemote <= 0 {
 		panic("sim: costs must be positive")
 	}
-	return &Machine{cfg: cfg, stepDone: make(chan *thread)}
+	return &Machine{cfg: cfg}
 }
 
 // Config returns the machine's configuration.
@@ -158,11 +175,10 @@ func (m *Machine) Spawn(body func(*Ctx)) int {
 		panic("sim: machine full")
 	}
 	t := &thread{
-		id:    id,
-		core:  id / m.cfg.ThreadsPerCore,
-		chip:  id / m.cfg.ThreadsPerChip,
-		grant: make(chan struct{}),
-		rng:   uint64(id)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
+		id:   id,
+		core: id / m.cfg.ThreadsPerCore,
+		chip: id / m.cfg.ThreadsPerChip,
+		rng:  uint64(id)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
 	}
 	m.threads = append(m.threads, t)
 	m.bodies = append(m.bodies, body)
@@ -172,57 +188,67 @@ func (m *Machine) Spawn(body func(*Ctx)) int {
 // Threads returns the number of spawned threads.
 func (m *Machine) Threads() int { return len(m.threads) }
 
+// errStopped is the panic value that unwinds the body of a thread Run
+// stopped before it finished; it never leaves the thread's coroutine.
+var errStopped = errors.New("sim: thread stopped by Run")
+
 // Run executes all spawned threads to completion and returns the final
 // virtual time (the maximum thread clock, in cycles). It panics on
 // deadlock (all unfinished threads blocked) or when MaxSteps is
-// exceeded.
+// exceeded, and a panic in a thread's body surfaces from Run as well;
+// however Run ends, no thread's coroutine outlives it.
+//
+// Every step goes to the ready thread with the least (clock, id). Run
+// resumes that thread's coroutine; the thread then keeps running, step
+// after step, for as long as it is still the least (Ctx.sync), and
+// parks only when another thread is due first, when it blocks in
+// SpinUntil, or when its body returns.
 func (m *Machine) Run() int64 {
 	n := len(m.threads)
 	if n == 0 {
 		return 0
 	}
-	for i := range m.threads {
-		t := m.threads[i]
+	defer func() {
+		for _, t := range m.threads {
+			t.stop()
+			t.resume, t.stop = nil, nil
+		}
+	}()
+	for i, t := range m.threads {
+		c := &Ctx{m: m, t: t}
 		body := m.bodies[i]
-		go func() {
-			ctx := &Ctx{m: m, t: t}
-			ctx.sync() // announce; parked until first grant
-			body(ctx)
+		t.resume, t.stop = pull(func(yield func(struct{}) bool) {
+			c.yield = yield
+			defer func() {
+				if p := recover(); p != nil && p != errStopped {
+					panic(p)
+				}
+			}()
+			body(c)
 			t.state = stateFinished
-			m.stepDone <- t
-		}()
+		})
+		// Every thread asks for its first step before any runs.
+		t.clock += m.cfg.CostOp + c.jitter()
+		m.push(t)
 	}
-	// Collect the initial announcements; every thread parks at its first
-	// grant (or finishes immediately if its body is empty — impossible
-	// here since sync precedes the body, but handled for safety).
 	finished := 0
-	for i := 0; i < n; i++ {
-		t := <-m.stepDone
-		switch t.state {
-		case stateReady:
-			m.push(t)
-		case stateFinished:
-			finished++
+	t := m.pop()
+	for {
+		m.countStep()
+		t.resume()
+		if t.state == stateReady {
+			// Parked in sync: the heap's root is due before t.
+			t = m.replaceRoot(t)
+			continue
 		}
-	}
-	for finished < n {
-		t := m.pop()
-		if t == nil {
+		// t finished, or blocked as a watcher, to be pushed when woken.
+		if t.state == stateFinished {
+			if finished++; finished == n {
+				break
+			}
+		}
+		if t = m.pop(); t == nil {
 			panic(fmt.Sprintf("sim: deadlock — %d of %d threads blocked forever", n-finished, n))
-		}
-		m.steps++
-		if m.cfg.MaxSteps > 0 && m.steps > m.cfg.MaxSteps {
-			panic(fmt.Sprintf("sim: exceeded MaxSteps=%d (livelock?)", m.cfg.MaxSteps))
-		}
-		t.grant <- struct{}{}
-		t = <-m.stepDone
-		switch t.state {
-		case stateReady:
-			m.push(t)
-		case stateFinished:
-			finished++
-		case stateBlocked:
-			// parked as a watcher; re-pushed when woken
 		}
 	}
 	var max int64
@@ -232,6 +258,15 @@ func (m *Machine) Run() int64 {
 		}
 	}
 	return max
+}
+
+// countStep accounts for one scheduler step: the grant of one
+// primitive to one thread.
+func (m *Machine) countStep() {
+	m.steps++
+	if m.cfg.MaxSteps > 0 && m.steps > m.cfg.MaxSteps {
+		panic(fmt.Sprintf("sim: exceeded MaxSteps=%d (livelock?)", m.cfg.MaxSteps))
+	}
 }
 
 // Steps returns the number of scheduler steps executed (diagnostic).
@@ -246,79 +281,76 @@ type Stats struct {
 	Remote   int64 // accesses that crossed chips
 }
 
-// ThreadStats returns per-thread statistics, sorted by thread id.
+// ThreadStats returns per-thread statistics, in thread id order.
 func (m *Machine) ThreadStats() []Stats {
 	out := make([]Stats, len(m.threads))
 	for i, t := range m.threads {
 		out[i] = Stats{Thread: t.id, Chip: t.chip, Clock: t.clock, Accesses: t.accesses, Remote: t.remote}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Thread < out[j].Thread })
 	return out
 }
 
 // --- min-heap on (clock, id) ---
+//
+// Entries move by hole-sifting: the entry being placed is held aside
+// while the entries on its path shift by one level, and is stored once.
 
 func (m *Machine) push(t *thread) {
-	t.heapIdx = len(m.heap)
-	m.heap = append(m.heap, t)
-	m.up(t.heapIdx)
+	e := heapEntry{t.clock, t}
+	m.heap = append(m.heap, e)
+	h := m.heap
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
 }
 
+// pop removes and returns the least thread, nil if none is ready.
 func (m *Machine) pop() *thread {
-	if len(m.heap) == 0 {
+	last := len(m.heap) - 1
+	if last < 0 {
 		return nil
 	}
-	t := m.heap[0]
-	last := len(m.heap) - 1
-	m.heap[0] = m.heap[last]
-	m.heap[0].heapIdx = 0
+	t := m.heap[0].t
+	e := m.heap[last]
 	m.heap = m.heap[:last]
 	if last > 0 {
-		m.down(0)
+		m.siftFromRoot(e)
 	}
 	return t
 }
 
-func (m *Machine) less(i, j int) bool {
-	a, b := m.heap[i], m.heap[j]
-	if a.clock != b.clock {
-		return a.clock < b.clock
-	}
-	return a.id < b.id
+// replaceRoot is push(t) followed by pop, for a t that is known not to
+// be the least: one sift instead of two. The heap must not be empty.
+func (m *Machine) replaceRoot(t *thread) *thread {
+	root := m.heap[0].t
+	m.siftFromRoot(heapEntry{t.clock, t})
+	return root
 }
 
-func (m *Machine) swap(i, j int) {
-	m.heap[i], m.heap[j] = m.heap[j], m.heap[i]
-	m.heap[i].heapIdx = i
-	m.heap[j].heapIdx = j
-}
-
-func (m *Machine) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !m.less(i, parent) {
+// siftFromRoot places e in a heap whose root slot is vacant.
+func (m *Machine) siftFromRoot(e heapEntry) {
+	h := m.heap
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
 			break
 		}
-		m.swap(i, parent)
-		i = parent
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
 	}
-}
-
-func (m *Machine) down(i int) {
-	n := len(m.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && m.less(l, small) {
-			small = l
-		}
-		if r < n && m.less(r, small) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		m.swap(i, small)
-		i = small
-	}
+	h[i] = e
 }

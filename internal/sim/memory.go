@@ -161,6 +161,9 @@ func (w *Word) maxSharerDistance(m *Machine, writer *thread) int {
 type Ctx struct {
 	m *Machine
 	t *thread
+	// yield parks the thread's coroutine, returning control to Run; it
+	// reports false if Run has since stopped the thread.
+	yield func(struct{}) bool
 }
 
 // ID returns the simulated thread's id (0-based, packed onto chips in
@@ -173,13 +176,30 @@ func (c *Ctx) Chip() int { return c.t.chip }
 // Now returns the thread's current virtual clock (cycles).
 func (c *Ctx) Now() int64 { return c.t.clock }
 
-// sync hands the baton to the scheduler and waits for this thread's next
-// turn, charging the per-primitive instruction cost plus jitter.
+// sync asks for this thread's next step, charging the per-primitive
+// instruction cost plus jitter, and returns when the step is granted.
+// The running thread is the only ready thread not in the heap, so if it
+// is still (clock, id)-before the heap's root it is the thread Run
+// would pick next: the step is counted and the thread simply carries
+// on. Otherwise it parks, and Run puts it in the heap in the root's
+// place.
 func (c *Ctx) sync() {
-	c.t.clock += c.m.cfg.CostOp + c.jitter()
-	c.t.state = stateReady
-	c.m.stepDone <- c.t
-	<-c.t.grant
+	t, m := c.t, c.m
+	t.clock += m.cfg.CostOp + c.jitter()
+	if len(m.heap) == 0 || (heapEntry{t.clock, t}).before(m.heap[0]) {
+		m.countStep()
+		return
+	}
+	c.park()
+}
+
+// park returns control to Run until the thread is next resumed. A
+// thread that Run stops instead (the run is over: deadlock, MaxSteps, a
+// panic elsewhere) unwinds its body from here.
+func (c *Ctx) park() {
+	if !c.yield(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // jitter returns this primitive's deterministic pseudo-random extra
@@ -367,8 +387,7 @@ func (c *Ctx) SpinUntil(w *Word, pred func(uint64) bool) uint64 {
 		c.emit(EvSpinBlock, w, w.val)
 		c.t.state = stateBlocked
 		w.watchers = append(w.watchers, c.t)
-		c.m.stepDone <- c.t
-		<-c.t.grant
+		c.park()
 		c.t.clock += c.m.cfg.CostOp
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -360,5 +361,77 @@ func TestContentionSlowsSharedCounter(t *testing.T) {
 	privateCost := perOp(8, false)
 	if sharedCost < 4*privateCost {
 		t.Fatalf("shared counter per-op %v not clearly slower than private %v", sharedCost, privateCost)
+	}
+}
+
+// settledGoroutines waits out goroutines still exiting from earlier
+// tests and returns the count. One of them may yet exit later, so a leak
+// shows as a count above this one, not merely different from it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+		if m := runtime.NumGoroutine(); m != n {
+			n, i = m, 0
+		}
+	}
+	return n
+}
+
+func TestBodyPanicReachesRunCaller(t *testing.T) {
+	before := settledGoroutines()
+	m := New(small())
+	w := m.NewWord(0)
+	for i := 0; i < 3; i++ {
+		m.Spawn(func(c *Ctx) {
+			c.SpinUntil(w, func(v uint64) bool { return v == 1 }) // parked when the panic comes
+		})
+	}
+	m.Spawn(func(c *Ctx) {
+		c.Work(100)
+		panic("boom")
+	})
+	m.Spawn(func(c *Ctx) { // ready, never started or mid-run, when the panic comes
+		for {
+			c.Work(1000)
+		}
+	})
+	func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Fatalf("Run's caller recovered %v, want the body's panic value", p)
+			}
+		}()
+		m.Run()
+	}()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after the panic, %d before Run", after, before)
+	}
+}
+
+func TestDeadlockLeavesNoGoroutines(t *testing.T) {
+	before := settledGoroutines()
+	m := New(small())
+	w := m.NewWord(0)
+	unwound := 0
+	for i := 0; i < 8; i++ {
+		m.Spawn(func(c *Ctx) {
+			defer func() { unwound++ }()
+			c.SpinUntil(w, func(v uint64) bool { return v == 1 }) // never satisfied
+		})
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("deadlock did not panic")
+			}
+		}()
+		m.Run()
+	}()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after the deadlock, %d before Run", after, before)
+	}
+	if unwound != 8 {
+		t.Fatalf("%d of 8 parked bodies were unwound", unwound)
 	}
 }

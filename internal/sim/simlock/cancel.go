@@ -1,6 +1,8 @@
 package simlock
 
 import (
+	"slices"
+
 	"ollock/internal/obs"
 	"ollock/internal/sim"
 	"ollock/internal/trace"
@@ -59,7 +61,7 @@ func (q *simWaitQueue) remove(c *sim.Ctx, flag *sim.Word) bool {
 	c.Work(queueOpCost)
 	for i, e := range q.entries {
 		if e.flag == flag {
-			q.entries = append(q.entries[:i:i], q.entries[i+1:]...)
+			q.entries = slices.Delete(q.entries, i, i+1)
 			if e.writer {
 				q.numWriters--
 			}

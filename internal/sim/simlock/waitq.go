@@ -1,6 +1,8 @@
 package simlock
 
 import (
+	"slices"
+
 	"ollock/internal/sim"
 )
 
@@ -60,7 +62,9 @@ func (q *simWaitQueue) empty() bool { return len(q.entries) == 0 }
 // Solaris-like lock: a releasing reader hands to the first waiting
 // writer (or all readers if none); a releasing writer hands to all
 // waiting readers (or the first writer if none). Returned batch is nil
-// when the queue is empty; writerBatch reports the batch kind.
+// when the queue is empty; writerBatch reports the batch kind. The
+// queue is edited in place, keeping its order (which is simulated
+// behaviour) and its array; a returned batch is a slice of its own.
 func (q *simWaitQueue) dequeueHandoff(c *sim.Ctx, releaserWriter bool) (batch []waitEntry, writerBatch bool) {
 	c.Work(queueOpCost)
 	if len(q.entries) == 0 {
@@ -69,7 +73,7 @@ func (q *simWaitQueue) dequeueHandoff(c *sim.Ctx, releaserWriter bool) (batch []
 	takeWriter := func() []waitEntry {
 		for i, e := range q.entries {
 			if e.writer {
-				q.entries = append(q.entries[:i:i], q.entries[i+1:]...)
+				q.entries = slices.Delete(q.entries, i, i+1)
 				q.numWriters--
 				return []waitEntry{e}
 			}
@@ -77,7 +81,11 @@ func (q *simWaitQueue) dequeueHandoff(c *sim.Ctx, releaserWriter bool) (batch []
 		return nil
 	}
 	takeReaders := func() []waitEntry {
-		var readers, rest []waitEntry
+		if q.numWriters == len(q.entries) {
+			return nil
+		}
+		var readers []waitEntry
+		rest := q.entries[:0]
 		for _, e := range q.entries {
 			if e.writer {
 				rest = append(rest, e)

@@ -17,6 +17,9 @@ type Result struct {
 	OpsPerThread int
 	TotalOps     int64
 	Cycles       int64
+	// Steps is the number of scheduler steps the run took: one per
+	// simulated primitive, the unit the simulator's host time is paid in.
+	Steps int64
 	// Throughput is acquisitions per second at the modeled clock rate.
 	Throughput float64
 	// RemoteFraction is the fraction of memory accesses that crossed
@@ -168,6 +171,7 @@ func runConfiguredOn(e Experiment) (Result, Lock) {
 		OpsPerThread: opsPerThread,
 		TotalOps:     total,
 		Cycles:       cycles,
+		Steps:        m.Steps(),
 	}
 	if cycles > 0 {
 		res.Throughput = float64(total) / (float64(cycles) / sim.ClockHz)
