@@ -14,7 +14,8 @@ import (
 
 // inlineBudget is the checked-in list of fast-path calls that must
 // compile to no call at all: the nil-guarded instrumentation helpers,
-// the ticket and grant-flag probes, and the deadline's no-bound check.
+// the ticket and grant-flag probes, the deadline's no-bound check, and
+// the conflict-free read pair on a resolved C-SNZI root word.
 // Each entry pairs the source spelling of a call with the callee name
 // the compiler prints for it; every occurrence in the algorithm
 // packages must show up in the compiler's inlining report at its own
@@ -36,13 +37,42 @@ var inlineBudget = []struct {
 	{regexp.MustCompile(`(?i)\bpi\.Acquired\(`), "lockcore.ProcInstr.Acquired"},
 	{regexp.MustCompile(`(?i)\bpi\.Released\(`), "lockcore.ProcInstr.Released"},
 	{regexp.MustCompile(`(?i)\bflag\.Blocked\(\)`), "park.(*Flag).Blocked"},
-	{regexp.MustCompile(`\.Arrived\(\)`), "rind.Ticket.Arrived"},
+	{regexp.MustCompile(`\.Arrived\(\)`), "csnzi.Ticket.Arrived"},
 	{regexp.MustCompile(`\bdl\.Expired\(\)`), "park.Deadline.Expired"},
+	{arriveRootRE, "csnzi.(*CSNZI).ArriveRoot"},
+	{departRootRE, "csnzi.(*CSNZI).DepartRoot"},
+}
+
+var (
+	arriveRootRE = regexp.MustCompile(`\.ArriveRoot\(\)`)
+	departRootRE = regexp.MustCompile(`\.DepartRoot\(\)`)
+)
+
+// inlineReadSites are the read sites that must reach the root word
+// inline: each named function must hold at least one call matching src
+// (which the budget above then requires to be inlined). A site that
+// quietly went back to rind.Indicator.ArriveLocal/Depart would cost
+// three calls and pass every other check.
+var inlineReadSites = []struct {
+	file, fn string
+	src      *regexp.Regexp
+}{
+	{"internal/goll/goll.go", "(p *Proc) RLock", arriveRootRE},
+	{"internal/goll/goll.go", "(p *Proc) tryArrive", arriveRootRE}, // rlock's loop and TryRLock
+	{"internal/goll/goll.go", "(p *Proc) RUnlock", departRootRE},
+	{"internal/qnode/qnode.go", "(p *Proc) RUnlock", departRootRE},
+	{"internal/qnode/cancel.go", "(p *Proc) TryRLock", arriveRootRE},
+	{"internal/foll/foll.go", "(p *Proc) rlock", arriveRootRE},
+	{"internal/roll/roll.go", "(p *Proc) rlock", arriveRootRE},
+	{"internal/roll/roll.go", "(p *Proc) tryJoinWaiting", arriveRootRE},
 }
 
 // inlineAdapters are the indicator adapters' one-CAS release calls: GOLL
 // reaches OpenIfNoWaiters through the rind.Indicator interface, and the
-// adapter behind it must be the CAS itself, not a second call. (The
+// adapter behind it must be the CAS itself, not a second call. The
+// C-SNZI adapter's other hot methods (inlineForwards) share the
+// C-SNZI's ticket type, so they must be bare forwards the inliner
+// takes — no translation grown back between the two layers. (The
 // rind files are listed one by one rather than scanned with the
 // algorithm packages: inside rind the budget's spellings also match
 // calls on the C-SNZI's own ticket type.)
@@ -57,13 +87,23 @@ var inlineAdapters = []struct {
 	{"internal/rind/central.go", regexp.MustCompile(`\bc\.w\.CloseIfEmpty\(\)`), "central.(*Lockword).CloseIfEmpty"},
 }
 
-// inlineWrappers are the untimed entry points that must themselves be
-// inlinable in each of inlineWrapperPkgs, so a caller holding a
-// concrete *Proc reaches the acquisition core in one call.
-var (
-	inlineWrapperPkgs = []string{"goll", "foll", "roll"}
-	inlineWrappers    = []string{"(*Proc).RLock", "(*Proc).Lock"}
-)
+// inlineForwards are the rind.CSNZI methods that must be inlinable.
+var inlineForwards = []string{"(*CSNZI).ArriveLocal", "(*CSNZI).Depart", "(*CSNZI).CloseIfEmpty"}
+
+// inlineWrappers are the untimed entry points through which a caller
+// holding a concrete *Proc must reach the acquisition in at most one
+// call, and in none on the uninstrumented fast path. For all but one
+// that means the wrapper is itself inlinable, leaving the call to the
+// acquisition core. GOLL's RLock is the exception: it makes the root
+// arrival in its own body before the core's frame and probes
+// (inlineReadSites holds it to that), and that arrival plus the call to
+// the core is past the inliner's budget — the wrapper is the one call,
+// and the fast path makes none from it.
+var inlineWrappers = []struct{ pkg, fn string }{
+	{"goll", "(*Proc).Lock"},
+	{"foll", "(*Proc).RLock"}, {"foll", "(*Proc).Lock"},
+	{"roll", "(*Proc).RLock"}, {"roll", "(*Proc).Lock"},
+}
 
 // TestInliningBudget compiles the internal packages with the inlining
 // report on and fails if any call site on the budget list, or any
@@ -147,19 +187,47 @@ func TestInliningBudget(t *testing.T) {
 			t.Errorf("%s: no call matches %s — did the source spelling change?", a.file, a.src)
 		}
 	}
-	// 114 sites with FOLL and ROLL on one substrate (139 when each
-	// carried its own copy of the shared half). Every package but
-	// central holds at least 15 of them, so a spelling that stops
-	// matching in any one of them lands below 100.
+	// 138 sites with the root pair inline at every read site (114
+	// before it, 139 when FOLL and ROLL each carried their own copy of
+	// the shared half). Every package but central holds at least 15 of
+	// them, so a spelling that stops matching in any one of them lands
+	// below 124.
 	t.Logf("%d budgeted call sites", sites)
-	if sites < 100 {
+	if sites < 124 {
 		t.Errorf("matched only %d budgeted call sites — did the source spellings change?", sites)
 	}
-	for _, pkg := range inlineWrapperPkgs {
-		for _, fn := range inlineWrappers {
-			if !inlinable["internal/"+pkg+" "+fn] {
-				t.Errorf("internal/%s: %s is no longer inlinable", pkg, fn)
+	for _, rs := range inlineReadSites {
+		if !funcMatches(sources[rs.file], rs.fn, rs.src) {
+			t.Errorf("%s: func %s no longer calls %s", rs.file, rs.fn, rs.src)
+		}
+	}
+	for _, fn := range inlineForwards {
+		if !inlinable["internal/rind "+fn] {
+			t.Errorf("internal/rind: %s is no longer an inlinable forward", fn)
+		}
+	}
+	for _, w := range inlineWrappers {
+		if !inlinable["internal/"+w.pkg+" "+w.fn] {
+			t.Errorf("internal/%s: %s is no longer inlinable", w.pkg, w.fn)
+		}
+	}
+}
+
+// funcMatches reports whether the body of the top-level func whose
+// declaration starts "func <fn>(" holds a line of code matching src.
+func funcMatches(lines []string, fn string, src *regexp.Regexp) bool {
+	in := false
+	for _, line := range lines {
+		switch {
+		case strings.HasPrefix(line, "func "+fn+"("):
+			in = true
+		case line == "}":
+			in = false
+		case in:
+			if code, _, _ := strings.Cut(line, "//"); src.MatchString(code) {
+				return true
 			}
 		}
 	}
+	return false
 }

@@ -158,6 +158,14 @@ func WithStats(s *obs.Stats) Option { return func(c *CSNZI) { c.stats = s } }
 // must be called before the C-SNZI is shared between goroutines.
 func (c *CSNZI) SetStats(s *obs.Stats) { c.stats = s }
 
+// RootFirst reports whether an ArriveRoot in front of ArriveLocal is
+// the arrival ArriveLocal would have made itself: the policy tries the
+// root before the tree, and st — the block the caller counts its inline
+// arrivals into — is the block this C-SNZI counts into.
+func (c *CSNZI) RootFirst(st *obs.Stats) bool {
+	return (c.leaves == 0 || c.retries > 0) && c.stats == st
+}
+
 // DefaultLeaves is the default tree width. It is sized for tens of
 // hardware threads; widen it on bigger machines via WithLeaves.
 const DefaultLeaves = 32
@@ -174,25 +182,38 @@ func New(opts ...Option) *CSNZI {
 	return c
 }
 
-// Ticket names the node an Arrive landed at. Tickets are opaque: obtain
-// them from Arrive or DirectTicket and pass them to Depart (or
-// TradeToRoot). The zero Ticket is a failed arrival.
-type Ticket struct {
-	n      *node
-	direct bool
-}
+// Ticket names the node an Arrive landed at, in one pointer-free word:
+// 0 is a failed arrival, Direct the root word, and 2+i arrival point i
+// of the indicator that issued it — a leaf here, a slot of
+// rind.Sharded, which shares the type. Tickets are opaque: obtain them
+// from Arrive or DirectTicket and pass them back to Depart (or
+// TradeToRoot) on the same indicator.
+type Ticket uint32
+
+// Direct is the ticket of an arrival made at the root word.
+const Direct Ticket = 1
+
+// TicketAt returns the ticket naming arrival point i.
+func TicketAt(i int) Ticket { return Ticket(i) + 2 }
+
+// Index returns the arrival point a tree ticket names.
+func (t Ticket) Index() int { return int(t - 2) }
 
 // Arrived reports whether the Arrive operation that produced t
 // succeeded.
-func (t Ticket) Arrived() bool { return t.direct || t.n != nil }
+func (t Ticket) Arrived() bool { return t != 0 }
 
 // Direct reports whether t departs directly at the root.
-func (t Ticket) Direct() bool { return t.direct }
+func (t Ticket) Direct() bool { return t == Direct }
+
+// Tree reports whether t names a distributed arrival point (a leaf or
+// slot) rather than the root word.
+func (t Ticket) Tree() bool { return t > Direct }
 
 // DirectTicket constructs a ticket that departs from the root node. It
 // is used by a reader that was woken by a releasing writer: the writer
 // pre-arrived at the root on the reader's behalf via OpenWithArrivals.
-func (c *CSNZI) DirectTicket() Ticket { return Ticket{direct: true} }
+func (c *CSNZI) DirectTicket() Ticket { return Direct }
 
 // Arrive attempts to increment the surplus. It fails (returns a ticket
 // for which Arrived is false) iff the C-SNZI is closed. The id parameter
@@ -215,20 +236,20 @@ func (c *CSNZI) ArriveLocal(id int, lc *obs.Local) Ticket {
 		old := c.root.Load()
 		if isClosed(old) {
 			c.count(lc, obs.CSNZIArriveFail, id)
-			return Ticket{}
+			return 0
 		}
 		if c.leaves > 0 && (treeCount(old) > 0 || failures >= c.retries) {
-			leaf := c.leafFor(id)
+			i, leaf := c.leafFor(id)
 			if leaf.treeArrive() {
 				c.count(lc, obs.CSNZIArriveTree, id)
-				return Ticket{n: leaf}
+				return TicketAt(i)
 			}
 			c.count(lc, obs.CSNZIArriveFail, id)
-			return Ticket{}
+			return 0
 		}
 		if c.root.CompareAndSwap(old, old+1) {
 			c.count(lc, obs.CSNZIArriveRoot, id)
-			return Ticket{direct: true}
+			return Direct
 		}
 		failures++
 		c.count(lc, obs.CSNZICASRetry, id)
@@ -245,6 +266,24 @@ func (c *CSNZI) count(lc *obs.Local, e obs.Event, id int) {
 	c.stats.Inc(e, id)
 }
 
+// ArriveRoot is the conflict-free arrival, small enough to inline: it
+// succeeds, returning Direct, iff the root word is open with no tree
+// arrivals (nobody has seen contention) and one CAS then lands.
+// Anything else — closed, tree in use, a lost CAS, a nil receiver (an
+// indicator that did not resolve to a C-SNZI; see rind.Root) — changes
+// nothing, returns the failed ticket and is ArriveLocal's to handle:
+// the caller falls into it, and counts a success as csnzi.arrive.root
+// itself, exactly as ArriveLocal would have. A CAS lost here is attempt
+// zero: uncounted, and not one of WithDirectRetries' tolerated failures.
+func (c *CSNZI) ArriveRoot() Ticket {
+	if c != nil {
+		if w := c.root.Load(); w&^directMask == 0 && c.root.CompareAndSwap(w, w+1) {
+			return Direct
+		}
+	}
+	return 0
+}
+
 // Depart decrements the surplus. It returns false iff the resulting
 // state is closed with zero surplus — i.e. the caller was the last
 // departer from a closed C-SNZI and must hand the guarded resource to
@@ -252,13 +291,19 @@ func (c *CSNZI) count(lc *obs.Local, e obs.Event, id int) {
 // DirectTicket matched by an OpenWithArrivals), each ticket departing at
 // most once per arrival.
 func (c *CSNZI) Depart(t Ticket) bool {
-	if t.n == nil {
-		if !t.direct {
-			panic("csnzi: Depart with failed ticket")
-		}
-		return c.rootDepartDirect()
+	if t == Direct {
+		return c.DepartRoot()
 	}
-	return t.n.treeDepart()
+	return c.leaf(t, "Depart").treeDepart()
+}
+
+// leaf returns the leaf a tree ticket names; op names the caller for
+// the panic a failed ticket gets.
+func (c *CSNZI) leaf(t Ticket, op string) *node {
+	if !t.Tree() {
+		panic("csnzi: " + op + " with failed ticket")
+	}
+	return &c.tree.Load().leaves[t.Index()]
 }
 
 // Query returns whether the C-SNZI has a surplus and whether it is open.
@@ -400,12 +445,10 @@ func (c *CSNZI) OpenWithArrivals(cnt int, close bool) {
 // internal transfer, not a new logical arrival. Direct tickets are
 // returned unchanged.
 func (c *CSNZI) TradeToRoot(t Ticket) Ticket {
-	if t.direct {
+	if t == Direct {
 		return t
 	}
-	if t.n == nil {
-		panic("csnzi: TradeToRoot with failed ticket")
-	}
+	n := c.leaf(t, "TradeToRoot")
 	// Unconditional direct arrival: surplus is provably nonzero (we hold
 	// an arrival), so this cannot resurrect a drained closed C-SNZI.
 	for {
@@ -414,8 +457,8 @@ func (c *CSNZI) TradeToRoot(t Ticket) Ticket {
 			break
 		}
 	}
-	t.n.treeDepart()
-	return Ticket{direct: true}
+	n.treeDepart()
+	return Direct
 }
 
 // SoleDirect reports whether the direct counter is exactly one and the
@@ -447,7 +490,8 @@ func (c *CSNZI) TryUpgrade() bool {
 
 // --- root helpers ---
 
-func (c *CSNZI) rootDepartDirect() bool {
+// DepartRoot is Depart of a Direct ticket, small enough to inline.
+func (c *CSNZI) DepartRoot() bool {
 	for {
 		old := c.root.Load()
 		new := old - 1
@@ -596,18 +640,17 @@ func (n *node) parentDepart() bool {
 	return n.parent.treeDepart()
 }
 
-// leafFor returns the leaf node assigned to id, building the tree on
-// first use (lazy allocation, §2.2: only contended C-SNZIs pay the
-// space).
-func (c *CSNZI) leafFor(id int) *node {
+// leafFor returns the leaf assigned to id and its index, building the
+// tree on first use (lazy allocation, §2.2: only contended C-SNZIs pay
+// the space). The reduction is unsigned: -id would overflow for
+// math.MinInt and leave the remainder negative.
+func (c *CSNZI) leafFor(id int) (int, *node) {
 	t := c.tree.Load()
 	if t == nil {
 		t = c.buildTree()
 	}
-	if id < 0 {
-		id = -id
-	}
-	return &t.leaves[id%len(t.leaves)]
+	i := int(uint(id) % uint(len(t.leaves)))
+	return i, &t.leaves[i]
 }
 
 func (c *CSNZI) buildTree() *tree {

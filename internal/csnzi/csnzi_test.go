@@ -1,11 +1,15 @@
 package csnzi
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"ollock/internal/obs"
 	"ollock/internal/xrand"
 )
 
@@ -318,6 +322,103 @@ func TestTreeCountAttractsArrivals(t *testing.T) {
 	c.Depart(t1)
 	if nz, _ := c.Query(); nz {
 		t.Fatal("surplus left")
+	}
+}
+
+// TestLeafForExtremeIDs pins the unsigned leaf reduction: negating
+// math.MinInt overflows and stays negative, so the old `-id % n`
+// computation produced a negative index and panicked for every leaf
+// count that does not divide 2^63 (the default 32 hid it). The leaf
+// index is the ticket, so the round trip through Depart is checked too.
+func TestLeafForExtremeIDs(t *testing.T) {
+	for _, leaves := range []int{1, 3, 32} {
+		c := New(WithLeaves(leaves), WithDirectRetries(0))
+		for _, id := range []int{0, 1, -1, -7, math.MinInt, math.MaxInt} {
+			i, _ := c.leafFor(id)
+			if i < 0 || i >= leaves {
+				t.Fatalf("leaves=%d: leafFor(%d) = %d, out of range", leaves, id, i)
+			}
+			tk := c.Arrive(id)
+			if !tk.Tree() || tk.Index() != i {
+				t.Fatalf("leaves=%d: Arrive(%d) = ticket %d, want the tree ticket of leaf %d", leaves, id, tk, i)
+			}
+			if !c.Depart(tk) {
+				t.Fatal("Depart reported a drain on an open C-SNZI")
+			}
+		}
+		if d, tr, open := c.Snapshot(); d != 0 || tr != 0 || !open {
+			t.Fatalf("leaves=%d: Snapshot = (%d,%d,%v), want (0,0,true)", leaves, d, tr, open)
+		}
+	}
+}
+
+// TestArriveRootContract: the inline arrival succeeds exactly on an
+// open root word with no tree arrivals, changes nothing otherwise, and
+// its ticket departs like any direct one.
+func TestArriveRootContract(t *testing.T) {
+	var none *CSNZI
+	if none.ArriveRoot().Arrived() {
+		t.Fatal("ArriveRoot on an unresolved (nil) C-SNZI arrived")
+	}
+	c := New(WithLeaves(4))
+	t1, t2 := c.ArriveRoot(), c.ArriveRoot()
+	if t1 != Direct || t2 != Direct {
+		t.Fatalf("ArriveRoot on an open word = %d, %d, want Direct", t1, t2)
+	}
+	if c.Close() {
+		t.Fatal("Close acquired with surplus 2")
+	}
+	if c.ArriveRoot().Arrived() {
+		t.Fatal("ArriveRoot arrived at a closed word")
+	}
+	if !c.DepartRoot() || c.Depart(t2) {
+		t.Fatal("drain not reported by exactly the last departer")
+	}
+	c.MarkWaiters()
+	if c.ArriveRoot().Arrived() {
+		t.Fatal("ArriveRoot arrived at a write-acquired, marked word")
+	}
+	c.Open()
+	// With the tree in use the root is ArriveLocal's to decide about.
+	tree := New(WithLeaves(4), WithDirectRetries(0))
+	if tree.RootFirst(nil) {
+		t.Fatal("RootFirst true for a policy that never tries the root")
+	}
+	tk := c.treeTicket(t)
+	if c.ArriveRoot().Arrived() {
+		t.Fatal("ArriveRoot arrived past a tree arrival")
+	}
+	if d, tr, _ := c.Snapshot(); d != 0 || tr != 1 {
+		t.Fatalf("Snapshot = (%d,%d), want (0,1)", d, tr)
+	}
+	c.Depart(tk)
+	if !c.RootFirst(nil) || c.RootFirst(obs.New()) {
+		t.Fatal("RootFirst must hold for the default policy, and only for the C-SNZI's own stats block")
+	}
+}
+
+// treeTicket makes one tree arrival on c regardless of its policy.
+func (c *CSNZI) treeTicket(t *testing.T) Ticket {
+	t.Helper()
+	i, leaf := c.leafFor(0)
+	if !leaf.treeArrive() {
+		t.Fatal("tree arrival failed on an open C-SNZI")
+	}
+	return TicketAt(i)
+}
+
+// TestTicketIsOnePointerFreeWord pins move (1): a ticket store is one
+// MOV with no write barrier, on 32-bit targets too.
+func TestTicketIsOnePointerFreeWord(t *testing.T) {
+	var tk Ticket
+	if unsafe.Sizeof(tk) > 8 {
+		t.Fatalf("Ticket is %d bytes, want <= 8", unsafe.Sizeof(tk))
+	}
+	if k := reflect.TypeOf(tk).Kind(); k < reflect.Int || k > reflect.Uint64 {
+		t.Fatalf("Ticket kind %v is not a plain integer: it carries (or may carry) a pointer", k)
+	}
+	if tk.Arrived() || !Direct.Arrived() || !Direct.Direct() || Direct.Tree() || TicketAt(0) != 2 || TicketAt(7).Index() != 7 {
+		t.Fatal("ticket encoding is not 0 failed, 1 direct, 2+i arrival point i")
 	}
 }
 

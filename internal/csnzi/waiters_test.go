@@ -35,8 +35,8 @@ func TestRootWordTransitionsUnderWaitersFlag(t *testing.T) {
 		{"upgrade marked", closedBit | waitersBit | 1, (*CSNZI).TryUpgrade, true, closedBit | waitersBit},
 		{"upgrade unmarked", closedBit | 1, (*CSNZI).TryUpgrade, true, closedBit},
 		{"upgrade open", 1, (*CSNZI).TryUpgrade, true, closedBit},
-		{"last direct depart, marked", closedBit | waitersBit | 1, func(c *CSNZI) bool { return c.rootDepartDirect() }, false, closedBit | waitersBit},
-		{"direct depart, marked, surplus left", closedBit | waitersBit | 2, func(c *CSNZI) bool { return c.rootDepartDirect() }, true, closedBit | waitersBit | 1},
+		{"last direct depart, marked", closedBit | waitersBit | 1, func(c *CSNZI) bool { return c.DepartRoot() }, false, closedBit | waitersBit},
+		{"direct depart, marked, surplus left", closedBit | waitersBit | 2, func(c *CSNZI) bool { return c.DepartRoot() }, true, closedBit | waitersBit | 1},
 		{"last tree depart, marked", closedBit | waitersBit | treeOne, func(c *CSNZI) bool { return c.rootTreeDepart() }, false, closedBit | waitersBit},
 		{"tree arrival refused on write-acquired, marked", closedBit | waitersBit, func(c *CSNZI) bool { return c.rootTreeArrive() }, false, closedBit | waitersBit},
 		{"tree arrival joins closed surplus, marked", closedBit | waitersBit | 1, func(c *CSNZI) bool { return c.rootTreeArrive() }, true, closedBit | waitersBit | treeOne | 1},

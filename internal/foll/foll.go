@@ -104,26 +104,41 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 		}
 		tail := q.Tail.Load()
 		switch {
-		case tail == nil:
-			// Empty queue: enqueue a fresh reader node with spin=false
-			// (its readers may run immediately), then open its C-SNZI
-			// and join it.
+		case tail == nil || tail.Kind == qnode.Writer:
+			// Enqueue a fresh reader node — on an empty queue with
+			// spin=false (its readers may run immediately), behind a writer
+			// waiting (spin=true) until the writer's release — then open
+			// its C-SNZI and join it.
 			if rNode == nil {
 				rNode = p.AllocReaderNode()
 			}
 			rNode.Reset(nil)
-			rNode.Flag.Set(false)
-			if !q.Tail.CompareAndSwap(nil, rNode) {
+			rNode.Flag.Set(tail != nil)
+			if !q.Tail.CompareAndSwap(tail, rNode) {
 				slow = true
 				continue // tail changed; retry (keep rNode)
 			}
 			p.PI.Inc(lockcore.FOLLReadEnqueue)
-			p.PI.Emit(lockcore.KindGroupEnqueue, 0, 0)
+			if tail == nil {
+				p.PI.Emit(lockcore.KindGroupEnqueue, 0, 0)
+			} else {
+				p.PI.Emit(lockcore.KindGroupEnqueue, 0, 1)
+				tail.QNext.Store(rNode)
+				slow = true
+			}
 			rNode.Ind.Open()
-			t := rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
+			t := rNode.Root.ArriveRoot()
 			if t.Arrived() {
+				p.PI.Inc(lockcore.CSNZIArriveRoot)
+			} else {
+				t = rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
+			}
+			if t.Arrived() {
+				if rNode.Flag.Blocked() && !p.AwaitGroup(rNode, t, dl) {
+					return false
+				}
 				p.Hold(rNode, t)
-				p.PI.Acquired(lockcore.KindReadAcquired, t0, t.TraceRoute())
+				p.PI.Acquired(lockcore.KindReadAcquired, t0, rind.TraceRoute(t))
 				p.PI.ProfAcquired(pt, slow)
 				return true
 			}
@@ -134,39 +149,14 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			slow = true
 			rNode = nil
 
-		case tail.Kind == qnode.Writer:
-			// Enqueue a fresh reader node behind the writer, waiting
-			// (spin=true) until the writer's release.
-			if rNode == nil {
-				rNode = p.AllocReaderNode()
-			}
-			rNode.Reset(nil)
-			rNode.Flag.Set(true)
-			if !q.Tail.CompareAndSwap(tail, rNode) {
-				slow = true
-				continue
-			}
-			p.PI.Inc(lockcore.FOLLReadEnqueue)
-			p.PI.Emit(lockcore.KindGroupEnqueue, 0, 1)
-			tail.QNext.Store(rNode)
-			rNode.Ind.Open()
-			t := rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
-			if t.Arrived() {
-				if rNode.Flag.Blocked() && !p.AwaitGroup(rNode, t, dl) {
-					return false
-				}
-				p.Hold(rNode, t)
-				p.PI.Acquired(lockcore.KindReadAcquired, t0, t.TraceRoute())
-				p.PI.ProfAcquired(pt, true)
-				return true
-			}
-			p.PI.Emit(lockcore.KindArriveFail, 0, 0)
-			slow = true
-			rNode = nil
-
 		default:
 			// Tail is a reader node: join it.
-			t := tail.Ind.ArriveLocal(p.ID, p.PI.LC)
+			t := tail.Root.ArriveRoot()
+			if t.Arrived() {
+				p.PI.Inc(lockcore.CSNZIArriveRoot)
+			} else {
+				t = tail.Ind.ArriveLocal(p.ID, p.PI.LC)
+			}
 			if t.Arrived() {
 				p.PI.Inc(lockcore.FOLLReadJoin)
 				qnode.Unalloc(rNode)

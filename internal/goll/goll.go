@@ -61,7 +61,12 @@ import (
 // RWLock is a GOLL reader-writer lock. Use New, then one Proc per
 // goroutine.
 type RWLock struct {
-	cs   rind.Indicator
+	cs rind.Indicator
+	// root is cs resolved once, at construction: the C-SNZI behind the
+	// default indicator, whose root word the read paths then arrive at
+	// and depart from inline, or nil when cs is anything else and every
+	// call goes through the interface (see rind.Root).
+	root *csnzi.CSNZI
 	meta spin.Mutex
 	q    waitq.Queue
 	ids  atomic.Int64
@@ -79,6 +84,10 @@ type Proc struct {
 	id       int
 	priority int
 	ticket   rind.Ticket
+	// bare records, once, that l.root is resolved and pi is the zero
+	// value: RLock/RUnlock then have no probe to feed, and try the inline
+	// arrival/departure before anything else.
+	bare bool
 	// pi is the proc's instrumentation view (buffered counters +
 	// flight-recorder ring); every emission below is one predictable
 	// branch when the corresponding layer is off.
@@ -126,6 +135,7 @@ func New(opts ...Option) *RWLock {
 		l.cs = rind.NewCSNZI()
 	}
 	l.cs = rind.Instrument(l.cs, l.in.Stats)
+	l.root = rind.Root(l.cs, l.in.Stats)
 	l.in.AddDumper(l)
 	return l
 }
@@ -135,14 +145,41 @@ func New(opts ...Option) *RWLock {
 // created.
 func (l *RWLock) NewProc() *Proc {
 	id := int(l.ids.Add(1)) - 1
-	return &Proc{l: l, id: id, pi: l.in.NewProc(id)}
+	pi := l.in.NewProc(id)
+	return &Proc{l: l, id: id, pi: pi, bare: l.root != nil && pi == lockcore.ProcInstr{}}
 }
 
 // RLock acquires the lock for reading. On the conflict-free path this is
 // a single C-SNZI arrival; otherwise the reader enqueues itself and is
 // handed the lock (with a pre-made direct arrival) by a releasing
-// writer.
-func (p *Proc) RLock() { p.rlock(lockcore.Deadline{}) }
+// writer. An uninstrumented proc tries that arrival here, inline, and
+// pays for rlock's frame and probes only when it fails.
+func (p *Proc) RLock() {
+	if p.bare {
+		if p.ticket = p.l.root.ArriveRoot(); p.ticket.Arrived() {
+			return
+		}
+	}
+	p.rlock(lockcore.Deadline{})
+}
+
+// tryArrive is the conflict-free read acquisition — one arrival, inline
+// at the resolved root word when it can be, and the probes a success
+// feeds — shared by rlock's loop and TryRLock. (Out of line on purpose:
+// the profiler's stack walk decodes the pc tables of every function on
+// the stack, and spelled out in rlock this made a sampled acquisition
+// 12 % dearer for one call saved.)
+func (p *Proc) tryArrive(t0, pt int64, slow bool) bool {
+	l := p.l
+	if p.ticket = l.root.ArriveRoot(); p.ticket.Arrived() {
+		p.pi.Inc(lockcore.CSNZIArriveRoot)
+	} else if p.ticket = l.cs.ArriveLocal(p.id, p.pi.LC); !p.ticket.Arrived() {
+		return false
+	}
+	p.pi.Acquired(lockcore.KindReadAcquired, t0, rind.TraceRoute(p.ticket))
+	p.pi.ProfAcquired(pt, slow)
+	return true
+}
 
 // rlock is the deadline-threaded read-acquire core; a zero deadline
 // reproduces the untimed paths (each expiry check is Deadline.Expired's
@@ -166,10 +203,7 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 	pt := p.pi.ProfTick()
 	slow := false
 	for {
-		p.ticket = l.cs.ArriveLocal(p.id, p.pi.LC)
-		if p.ticket.Arrived() {
-			p.pi.Acquired(lockcore.KindReadAcquired, t0, p.ticket.TraceRoute())
-			p.pi.ProfAcquired(pt, slow)
+		if p.tryArrive(t0, pt, slow) {
 			return true
 		}
 		if !slow {
@@ -229,32 +263,47 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 // C-SNZI hands the lock to the waiting writer.
 func (p *Proc) RUnlock() {
 	l := p.l
-	if l.cs.Depart(p.ticket) {
+	var live bool
+	if r := l.root; r != nil && p.ticket == rind.Direct {
+		live = r.DepartRoot()
+	} else {
+		live = l.cs.Depart(p.ticket)
+	}
+	if !live {
+		p.pi.Emit(lockcore.KindIndDrain, 0, 0)
+		p.handOff(waitq.Reader, lockcore.KindReadReleased)
+	} else if !p.bare {
 		p.pi.Released(lockcore.KindReadReleased)
 		p.pi.ProfReleased()
-		return
 	}
-	// The C-SNZI is closed with zero surplus: write-acquired state, to
-	// be handed to the next waiter. A waiting writer must exist (readers
-	// only queue behind a closer), but the queue may also hand to
-	// readers if a policy lets them overtake (§3.2, footnote 1).
-	p.pi.Emit(lockcore.KindIndDrain, 0, 0)
+}
+
+// handOff passes on an indicator this proc owns closed with zero
+// surplus — as the last reader (from Reader) out of it, behind a
+// closer, or as the write holder whose one-CAS release found the
+// waiters bit — to the next batch of waiters, under the queue mutex as
+// in Figure 3. The queue can be empty — every closer abandoned its
+// wait; the bit outlives a cancelled waiter and a writer-to-writer
+// hand-off — and then the indicator is reopened here, which also
+// clears the bit. A reader handing off normally finds a writer
+// (readers only queue behind a closer), but the queue may hand to
+// readers if a policy lets them overtake (§3.2, footnote 1).
+func (p *Proc) handOff(from waitq.Kind, released lockcore.TraceKind) {
+	l := p.l
 	l.meta.LockWith(l.in.Wait)
-	batch := l.q.DequeueHandoff(waitq.Reader)
+	batch := l.q.DequeueHandoff(from)
 	if batch == nil {
-		// The closer(s) we drained behind all abandoned their waits
-		// between our Depart and the metalock: nobody to hand to, so
-		// reopen the indicator ourselves.
 		l.cs.Open()
 		l.meta.Unlock()
 		p.pi.Emit(lockcore.KindIndOpen, 0, 0)
-		p.pi.Released(lockcore.KindReadReleased)
+		p.pi.Released(released)
 		p.pi.ProfReleased()
 		return
 	}
 	if batch.Kind == waitq.Reader {
-		// Readers overtook the waiting writer: move the lock straight to
-		// the read-acquired state, keeping it closed while writers wait.
+		// Move straight to read-acquired: surplus = group size, closed
+		// (and still marked) iff writers still wait. For a writer batch
+		// the indicator is already write-acquired; nothing to change.
 		l.cs.OpenWithArrivals(batch.Count(), l.q.NumWriters() != 0)
 		p.pi.Emit(lockcore.KindIndOpen, 0, uint64(batch.Count()))
 	}
@@ -262,7 +311,7 @@ func (p *Proc) RUnlock() {
 	l.in.Inc(lockcore.GOLLHandoff, p.id)
 	p.pi.Emit(lockcore.KindHandoff, 0, lockcore.PackHandoff(batch.Count(), batch.Kind == waitq.Writer))
 	batch.SignalWith(l.in.Wait)
-	p.pi.Released(lockcore.KindReadReleased)
+	p.pi.Released(released)
 	p.pi.ProfReleased()
 }
 
@@ -350,39 +399,7 @@ func (p *Proc) Unlock() {
 		p.pi.ProfReleased()
 		return
 	}
-	p.unlockHandoff()
-}
-
-// unlockHandoff is Unlock with the waiters bit set: take the queue
-// mutex and hand ownership to the next batch of waiters. The queue can
-// still be empty — the bit outlives a cancelled waiter and a
-// writer-to-writer hand-off — and then this is where it is cleared.
-func (p *Proc) unlockHandoff() {
-	l := p.l
-	l.meta.LockWith(l.in.Wait)
-	batch := l.q.DequeueHandoff(waitq.Writer)
-	if batch == nil {
-		l.cs.Open()
-		l.meta.Unlock()
-		p.pi.Emit(lockcore.KindIndOpen, 0, 0)
-		p.pi.Released(lockcore.KindWriteReleased)
-		p.pi.ProfReleased()
-		return
-	}
-	if batch.Kind == waitq.Reader {
-		// Convert to read-acquired: surplus = group size, closed (and
-		// still marked) iff writers still wait.
-		l.cs.OpenWithArrivals(batch.Count(), l.q.NumWriters() != 0)
-		p.pi.Emit(lockcore.KindIndOpen, 0, uint64(batch.Count()))
-	}
-	// For a writer batch the C-SNZI is already closed with zero surplus
-	// (write-acquired); nothing to change.
-	l.meta.Unlock()
-	l.in.Inc(lockcore.GOLLHandoff, p.id)
-	p.pi.Emit(lockcore.KindHandoff, 0, lockcore.PackHandoff(batch.Count(), batch.Kind == waitq.Writer))
-	batch.SignalWith(l.in.Wait)
-	p.pi.Released(lockcore.KindWriteReleased)
-	p.pi.ProfReleased()
+	p.handOff(waitq.Writer, lockcore.KindWriteReleased)
 }
 
 // TryRLock attempts a read acquisition without waiting, reporting
@@ -390,15 +407,21 @@ func (p *Proc) unlockHandoff() {
 // or waits for it (the C-SNZI is closed) — the same condition that
 // would have queued the caller.
 func (p *Proc) TryRLock() bool {
-	p.ticket = p.l.cs.ArriveLocal(p.id, p.pi.LC)
-	return p.ticket.Arrived()
+	return p.tryArrive(p.pi.Now(), p.pi.ProfTick(), false)
 }
 
 // TryLock attempts a write acquisition without waiting, reporting
 // whether it succeeded. It is the writer fast path alone: one CAS on a
 // free lock.
 func (p *Proc) TryLock() bool {
-	return p.l.cs.CloseIfEmpty()
+	t0 := p.pi.Now()
+	pt := p.pi.ProfTick()
+	if !p.l.cs.CloseIfEmpty() {
+		return false
+	}
+	p.pi.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteRoot)
+	p.pi.ProfAcquired(pt, false)
+	return true
 }
 
 // TryUpgrade attempts to convert this Proc's read acquisition into a

@@ -45,6 +45,10 @@ const (
 	ROLLTimeout     = obs.ROLLTimeout
 	ROLLCancel      = obs.ROLLCancel
 
+	// CSNZIArriveRoot is counted by a lock on its indicator's behalf,
+	// for a root arrival it made inline (csnzi.ArriveRoot).
+	CSNZIArriveRoot = obs.CSNZIArriveRoot
+
 	BravoFastRead      = obs.BravoFastRead
 	BravoSlowRead      = obs.BravoSlowRead
 	BravoBiasArm       = obs.BravoBiasArm

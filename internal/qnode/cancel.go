@@ -112,18 +112,28 @@ func (p *Proc) TryRLock() bool {
 		p.PI.Inc(q.ev.ReadEnqueue)
 		p.PI.Emit(lockcore.KindGroupEnqueue, 0, 0)
 		rNode.Ind.Open()
-		t := rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
+		t := rNode.Root.ArriveRoot()
+		if t.Arrived() {
+			p.PI.Inc(lockcore.CSNZIArriveRoot)
+		} else {
+			t = rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
+		}
 		if !t.Arrived() {
 			// A writer closed the node already; the closer owns cleanup.
 			p.PI.Emit(lockcore.KindArriveFail, 0, 0)
 			return false
 		}
 		p.Hold(rNode, t)
-		p.PI.Acquired(lockcore.KindReadAcquired, t0, t.TraceRoute())
+		p.PI.Acquired(lockcore.KindReadAcquired, t0, rind.TraceRoute(t))
 		p.PI.ProfAcquired(pt, false)
 		return true
 	case tail.Kind == Reader && !tail.Flag.Blocked():
-		t := tail.Ind.ArriveLocal(p.ID, p.PI.LC)
+		t := tail.Root.ArriveRoot()
+		if t.Arrived() {
+			p.PI.Inc(lockcore.CSNZIArriveRoot)
+		} else {
+			t = tail.Ind.ArriveLocal(p.ID, p.PI.LC)
+		}
 		if !t.Arrived() {
 			p.PI.Emit(lockcore.KindArriveFail, 0, 0)
 			return false

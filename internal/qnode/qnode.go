@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"ollock/internal/atomicx"
+	"ollock/internal/csnzi"
 	"ollock/internal/lockcore"
 	"ollock/internal/rind"
 )
@@ -90,7 +91,13 @@ type Node struct {
 	// GState is the grant/abandon race word (Live, Granted, Abandoned).
 	GState atomic.Uint32
 	// Reader-node-only fields.
-	Ind        rind.Indicator // closed whenever the node is not enqueued
+	Ind rind.Indicator // closed whenever the node is not enqueued
+	// Root is Ind resolved once, at Init: the C-SNZI behind the default
+	// indicator, whose root word readers arrive at and depart from
+	// inline, or nil when every call goes through Ind (see rind.Root).
+	// Read sites spell the attempt, its count and the fall-through out;
+	// a shared helper holding all three is past the inliner's budget.
+	Root       *csnzi.CSNZI
 	allocState atomic.Uint32
 	ringNext   *Node // immutable ring pointer for the pool
 }
@@ -174,6 +181,7 @@ func (q *Queue) Init(name string, ev Events, maxProcs int) {
 		n.Kind = Reader
 		n.ringNext = &q.ring[(i+1)%maxProcs]
 		n.Ind = rind.Instrument(q.Factory(), q.In.Stats)
+		n.Root = rind.Root(n.Ind, q.In.Stats)
 		// Fresh nodes start closed with no surplus (§4.2: "when just
 		// allocated, has a closed C-SNZI"): a node's indicator is open
 		// only while the node is enqueued.
@@ -300,13 +308,16 @@ func (q *Queue) grant(n *Node, id int, tr *lockcore.TraceLocal) {
 // recycles the reader node.
 func (p *Proc) RUnlock() {
 	n := p.departFrom
-	if n.Ind.Depart(p.ticket) {
-		p.PI.Released(lockcore.KindReadReleased)
-		p.PI.ProfReleased()
-		return
+	var live bool
+	if r := n.Root; r != nil && p.ticket == rind.Direct {
+		live = r.DepartRoot()
+	} else {
+		live = n.Ind.Depart(p.ticket)
 	}
-	p.PI.Emit(lockcore.KindIndDrain, 0, 0)
-	p.passOn(n)
+	if !live {
+		p.PI.Emit(lockcore.KindIndDrain, 0, 0)
+		p.passOn(n)
+	}
 	p.PI.Released(lockcore.KindReadReleased)
 	p.PI.ProfReleased()
 }

@@ -3,7 +3,9 @@ package qnode
 import (
 	"testing"
 	"time"
+	"unsafe"
 
+	"ollock/internal/atomicx"
 	"ollock/internal/lockcore"
 )
 
@@ -121,4 +123,33 @@ func TestCancelLosesToInFlightGrant(t *testing.T) {
 	}
 	succ.Unlock()
 	wantRest(t, q, ps)
+}
+
+// TestProcLayout pins the memory the read fast path touches in a Proc:
+// the queue, the group it must depart from and the ticket (one
+// pointer-free word: csnzi's TestTicketIsOnePointerFreeWord) all sit in
+// the handle's first cache line, and
+// every ring node carries its indicator resolved (the default C-SNZI)
+// beside the interface it was resolved from.
+func TestProcLayout(t *testing.T) {
+	var p Proc
+	for name, end := range map[string]uintptr{
+		"Q":          unsafe.Offsetof(p.Q) + unsafe.Sizeof(p.Q),
+		"departFrom": unsafe.Offsetof(p.departFrom) + unsafe.Sizeof(p.departFrom),
+		"ticket":     unsafe.Offsetof(p.ticket) + unsafe.Sizeof(p.ticket),
+	} {
+		if end > atomicx.CacheLineSize {
+			t.Errorf("Proc.%s ends at byte %d, outside the first cache line", name, end)
+		}
+	}
+	var n Node
+	if unsafe.Offsetof(n.Root) != unsafe.Offsetof(n.Ind)+unsafe.Sizeof(n.Ind) {
+		t.Errorf("Node.Root at %d does not follow Node.Ind at %d", unsafe.Offsetof(n.Root), unsafe.Offsetof(n.Ind))
+	}
+	q, _ := newQueue(2)
+	for i := range q.ring {
+		if q.ring[i].Root == nil {
+			t.Errorf("ring node %d: default indicator not resolved", i)
+		}
+	}
 }

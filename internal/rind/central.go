@@ -23,9 +23,9 @@ func NewCentral() *Central { return &Central{} }
 // Arrive implements Indicator.
 func (c *Central) Arrive(id int) Ticket {
 	if c.w.Arrive() {
-		return directTicket
+		return Direct
 	}
-	return Ticket{}
+	return 0
 }
 
 // ArriveLocal implements Indicator. The centralized word does its own
@@ -34,7 +34,7 @@ func (c *Central) ArriveLocal(id int, _ *obs.Local) Ticket { return c.Arrive(id)
 
 // Depart implements Indicator.
 func (c *Central) Depart(t Ticket) bool {
-	if t.kind != ticketDirect {
+	if t != Direct {
 		panic("rind: Depart with failed ticket")
 	}
 	return c.w.Depart()
@@ -81,12 +81,12 @@ func (c *Central) Open() { c.w.Open() }
 func (c *Central) OpenWithArrivals(cnt int, close bool) { c.w.OpenWithArrivals(cnt, close) }
 
 // DirectTicket implements Indicator.
-func (c *Central) DirectTicket() Ticket { return directTicket }
+func (c *Central) DirectTicket() Ticket { return Direct }
 
 // TradeToRoot implements Indicator. Central arrivals are already
 // direct.
 func (c *Central) TradeToRoot(t Ticket) Ticket {
-	if t.kind != ticketDirect {
+	if t != Direct {
 		panic("rind: TradeToRoot with foreign ticket")
 	}
 	return t

@@ -9,10 +9,9 @@ import (
 // csnzi) to the Indicator contract. It is the default indicator of
 // every OLL lock.
 //
-// The adapter is a thin ticket translation: the C-SNZI's own arrival
-// policy, intermediate states and instrumentation are untouched, so the
-// csnzi.* counters (including per-retry CAS accounting) keep their
-// exact pre-refactor semantics.
+// The adapter only forwards — the ticket type is the C-SNZI's own — so
+// every method is a call the inliner takes, and a lock that holds the
+// adapter resolves it to the C-SNZI behind it once (see Root).
 type CSNZI struct {
 	cs *csnzi.CSNZI
 }
@@ -33,29 +32,10 @@ func (c *CSNZI) Inner() *csnzi.CSNZI { return c.cs }
 func (c *CSNZI) Arrive(id int) Ticket { return c.ArriveLocal(id, nil) }
 
 // ArriveLocal implements Indicator.
-func (c *CSNZI) ArriveLocal(id int, lc *obs.Local) Ticket {
-	t := c.cs.ArriveLocal(id, lc)
-	switch {
-	case t.Direct():
-		return directTicket
-	case t.Arrived():
-		return Ticket{kind: ticketCSNZI, cs: t}
-	default:
-		return Ticket{}
-	}
-}
+func (c *CSNZI) ArriveLocal(id int, lc *obs.Local) Ticket { return c.cs.ArriveLocal(id, lc) }
 
 // Depart implements Indicator.
-func (c *CSNZI) Depart(t Ticket) bool {
-	switch t.kind {
-	case ticketDirect:
-		return c.cs.Depart(c.cs.DirectTicket())
-	case ticketCSNZI:
-		return c.cs.Depart(t.cs)
-	default:
-		panic("rind: Depart with failed ticket")
-	}
-}
+func (c *CSNZI) Depart(t Ticket) bool { return c.cs.Depart(t) }
 
 // Query implements Indicator.
 func (c *CSNZI) Query() (nonzero, open bool) { return c.cs.Query() }
@@ -82,20 +62,10 @@ func (c *CSNZI) Open() { c.cs.Open() }
 func (c *CSNZI) OpenWithArrivals(cnt int, close bool) { c.cs.OpenWithArrivals(cnt, close) }
 
 // DirectTicket implements Indicator.
-func (c *CSNZI) DirectTicket() Ticket { return directTicket }
+func (c *CSNZI) DirectTicket() Ticket { return Direct }
 
 // TradeToRoot implements Indicator.
-func (c *CSNZI) TradeToRoot(t Ticket) Ticket {
-	switch t.kind {
-	case ticketDirect:
-		return t
-	case ticketCSNZI:
-		c.cs.TradeToRoot(t.cs)
-		return directTicket
-	default:
-		panic("rind: TradeToRoot with failed ticket")
-	}
-}
+func (c *CSNZI) TradeToRoot(t Ticket) Ticket { return c.cs.TradeToRoot(t) }
 
 // SoleDirect implements Indicator.
 func (c *CSNZI) SoleDirect() bool { return c.cs.SoleDirect() }

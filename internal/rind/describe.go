@@ -6,21 +6,13 @@ import (
 	"ollock/internal/trace"
 )
 
-// Tree reports whether t's arrival landed at a distributed arrival
-// point (a C-SNZI tree leaf or a sharded slot) rather than the central
-// word. The trace layer uses it to classify arrive decisions
-// (trace.RouteTree vs. RouteRoot) without widening the Indicator
-// interface.
-func (t Ticket) Tree() bool { return t.kind == ticketCSNZI || t.kind == ticketSlot }
-
-// TraceRoute classifies a successful arrival as a trace route: tree
-// (distributed arrival point) or root (central word). Failed tickets
-// report RouteNone.
-func (t Ticket) TraceRoute() trace.Route {
+// TraceRoute classifies a ticket as a trace route: tree (a distributed
+// arrival point), root (the central word), or none (a failed arrival).
+func TraceRoute(t Ticket) trace.Route {
 	switch {
 	case t.Tree():
 		return trace.RouteTree
-	case t.kind == ticketDirect:
+	case t == Direct:
 		return trace.RouteRoot
 	default:
 		return trace.RouteNone

@@ -71,7 +71,7 @@ func (w *instrumented) ArriveLocal(id int, lc *obs.Local) Ticket {
 	switch {
 	case !t.Arrived():
 		w.count(lc, obs.CSNZIArriveFail, id)
-	case t.kind == ticketSlot:
+	case t.Tree():
 		w.count(lc, obs.CSNZIArriveTree, id)
 	default:
 		w.count(lc, obs.CSNZIArriveRoot, id)

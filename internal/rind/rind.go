@@ -35,6 +35,24 @@
 // property is what lets the locks hand ownership over without further
 // arbitration.
 //
+// # Tickets and the inline route
+//
+// Every indicator hands out the same Ticket, one pointer-free word: 0 a
+// failed arrival, Direct an arrival at the central word (C-SNZI root,
+// Central word, Sharded gate), 2+i distributed arrival point i (C-SNZI
+// leaf, Sharded slot). It goes back to the indicator that issued it,
+// which alone knows what the index means.
+//
+// A lock holds its indicator as this interface and, resolved once at
+// construction by Root, as the C-SNZI behind the default adapter (nil
+// for everything else). Through the latter its read sites make the
+// conflict-free pair inline — csnzi.ArriveRoot and, for a Direct
+// ticket, csnzi.DepartRoot — and fall into ArriveLocal/Depart here for
+// everything else. The inline arrival is the first iteration of
+// ArriveLocal that would have succeeded, counted by the lock under the
+// same name through the same per-proc buffer, so no counter or trace
+// route tells the two routes apart (internal/locksuite holds them to it).
+//
 // # The waiters flag
 //
 // The word that holds closed/surplus also holds one flag the indicator
@@ -176,34 +194,32 @@ type Indicator interface {
 // recycled nodes then recycle indicators of any kind.
 type Factory func() Indicator
 
-// Ticket kinds. A Ticket is a small value naming where an arrival
-// landed; it carries no pointers beyond the C-SNZI node reference.
-const (
-	ticketFailed uint8 = iota // failed arrival (zero Ticket)
-	ticketDirect              // direct arrival (root word / gate word)
-	ticketCSNZI               // C-SNZI tree arrival
-	ticketSlot                // sharded-indicator slot arrival
-)
+// Ticket names the arrival point an Arrive landed at: the C-SNZI's own
+// one-word ticket, shared by every indicator — 0 a failed arrival,
+// Direct the central word (root or gate), 2+i distributed arrival point
+// i (a C-SNZI leaf, a Sharded slot). Only the indicator that issued a
+// ticket can tell which; pass it back to Depart (or TradeToRoot) there.
+type Ticket = csnzi.Ticket
 
-// Ticket names the arrival point an Arrive landed at. Tickets are
-// opaque: obtain them from Arrive or DirectTicket and pass them back to
-// Depart (or TradeToRoot) on the same indicator. The zero Ticket is a
-// failed arrival.
-type Ticket struct {
-	cs   csnzi.Ticket // ticketCSNZI: the underlying tree ticket
-	slot int32        // ticketSlot: the slot index
-	kind uint8
+// Direct is the ticket of an arrival at the central word.
+const Direct = csnzi.Direct
+
+// Root resolves an indicator, once, at lock construction, to the
+// C-SNZI whose root word the lock may then arrive at and depart from
+// inline (csnzi.ArriveRoot/DepartRoot) in place of a call through the
+// interface; st is the lock's stats block. It is non-nil only for the
+// default adapter, and then only when the inline pair is
+// indistinguishable from ArriveLocal/Depart: the arrival policy tries
+// the root first, and the counts the lock makes on the C-SNZI's behalf
+// (csnzi.arrive.root, through its procs' buffers) land in the block the
+// C-SNZI itself counts into. Central, Sharded and any indicator behind
+// a wrapper resolve to nil, and every call stays on the interface.
+func Root(ind Indicator, st *obs.Stats) *csnzi.CSNZI {
+	if c, ok := ind.(*CSNZI); ok && c.cs.RootFirst(st) {
+		return c.cs
+	}
+	return nil
 }
-
-// Arrived reports whether the Arrive that produced t succeeded.
-func (t Ticket) Arrived() bool { return t.kind != ticketFailed }
-
-// Direct reports whether t departs directly at the central word (root
-// or gate).
-func (t Ticket) Direct() bool { return t.kind == ticketDirect }
-
-// directTicket is the shared direct ticket value.
-var directTicket = Ticket{kind: ticketDirect}
 
 // CSNZIFactory returns a Factory producing C-SNZI-backed indicators
 // with the given configuration.

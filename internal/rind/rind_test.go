@@ -663,3 +663,37 @@ func TestShardedShards(t *testing.T) {
 		t.Fatalf("shards = %d, want 7", got)
 	}
 }
+
+// TestRootResolvesOnlyWhatInlinesExactly: Root hands a lock the C-SNZI
+// behind the default adapter — and nothing else. A wrapper's methods
+// would be bypassed; Central and Sharded have no root word; a policy
+// that never tries the root first, or a C-SNZI counting into a block
+// other than the lock's, would make the inline arrival observable.
+func TestRootResolvesOnlyWhatInlinesExactly(t *testing.T) {
+	type wrapped struct{ Indicator }
+	st := obs.New()
+	own := NewCSNZI()
+	counted := Instrument(NewCSNZI(), st)
+	flat := NewCSNZI(csnzi.WithLeaves(0), csnzi.WithDirectRetries(0)) // nothing but the root to arrive at
+	for _, tc := range []struct {
+		name string
+		ind  Indicator
+		st   *obs.Stats
+		want *csnzi.CSNZI
+	}{
+		{"default", own, nil, own.Inner()},
+		{"default, lock's stats", counted, st, counted.(*CSNZI).Inner()},
+		{"default, foreign stats", counted, nil, nil},
+		{"default, uncounted under a counting lock", own, st, nil},
+		{"no tree", flat, nil, flat.Inner()},
+		{"tree first", NewCSNZI(csnzi.WithDirectRetries(0)), nil, nil},
+		{"wrapped", wrapped{own}, nil, nil},
+		{"central", NewCentral(), nil, nil},
+		{"sharded", NewSharded(2), nil, nil},
+		{"instrumented central", Instrument(NewCentral(), st), st, nil},
+	} {
+		if got := Root(tc.ind, tc.st); got != tc.want {
+			t.Errorf("%s: Root = %p, want %p", tc.name, got, tc.want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"ollock/internal/atomicx"
+	"ollock/internal/csnzi"
 	"ollock/internal/obs"
 	"ollock/internal/park"
 )
@@ -134,10 +135,10 @@ func NewSharded(nshards int) *Sharded {
 // policy (the default) keeps the legacy exponential-backoff spin.
 func (s *Sharded) SetWaitPolicy(pol *park.Policy) { s.pol = pol }
 
-func (s *Sharded) slotIndex(id int) int32 {
+func (s *Sharded) slotIndex(id int) int {
 	// Unsigned reduction: -id would overflow for math.MinInt and leave
 	// the remainder negative.
-	return int32(uint(id) % uint(len(s.slots)))
+	return int(uint(id) % uint(len(s.slots)))
 }
 
 // Arrive implements Indicator.
@@ -150,7 +151,7 @@ func (s *Sharded) ArriveLocal(id int, _ *obs.Local) Ticket {
 	for {
 		g := s.gate.Load()
 		if g&gateClosed != 0 {
-			return Ticket{}
+			return 0
 		}
 		if g&gatePending != 0 {
 			// A probe or open-transition is deciding; wait it out
@@ -167,7 +168,7 @@ func (s *Sharded) ArriveLocal(id int, _ *obs.Local) Ticket {
 				break // sealed under us: re-read the gate
 			}
 			if sl.ingress.CompareAndSwap(x, x+1) {
-				return Ticket{kind: ticketSlot, slot: idx}
+				return csnzi.TicketAt(idx)
 			}
 			ld.Pause()
 		}
@@ -176,16 +177,16 @@ func (s *Sharded) ArriveLocal(id int, _ *obs.Local) Ticket {
 
 // Depart implements Indicator.
 func (s *Sharded) Depart(t Ticket) bool {
-	switch t.kind {
-	case ticketSlot:
-		sl := &s.slots[t.slot]
+	switch {
+	case t.Tree():
+		sl := &s.slots[t.Index()]
 		sl.egress.Add(1)
 		g := s.gate.Load()
 		if g&gateClosed == 0 {
 			return true
 		}
 		return !s.tryDrain(g)
-	case ticketDirect:
+	case t == Direct:
 		return s.departDirect()
 	default:
 		panic("rind: Depart with failed ticket")
@@ -468,18 +469,17 @@ func (s *Sharded) resetSlots() {
 }
 
 // DirectTicket implements Indicator.
-func (s *Sharded) DirectTicket() Ticket { return directTicket }
+func (s *Sharded) DirectTicket() Ticket { return Direct }
 
 // TradeToRoot implements Indicator: the held slot arrival moves into
 // the gate's direct count (direct count up first, then the slot
 // departure — the order keeps the total surplus visibly nonzero, so a
 // concurrent summer can never claim a spurious drain).
 func (s *Sharded) TradeToRoot(t Ticket) Ticket {
-	switch t.kind {
-	case ticketDirect:
+	switch {
+	case t == Direct:
 		return t
-	case ticketSlot:
-	default:
+	case !t.Tree():
 		panic("rind: TradeToRoot with failed ticket")
 	}
 	ld := s.pol.Ladder()
@@ -493,8 +493,8 @@ func (s *Sharded) TradeToRoot(t Ticket) Ticket {
 		}
 		ld.Pause()
 	}
-	s.slots[t.slot].egress.Add(1)
-	return directTicket
+	s.slots[t.Index()].egress.Add(1)
+	return Direct
 }
 
 // SoleDirect implements Indicator.

@@ -52,7 +52,7 @@ func TestShardedDrainClaimEpochABA(t *testing.T) {
 	// Second departer, stepped by hand to the preemption point: it has
 	// bumped its egress, read the closed gate, and summed zero — and
 	// stalls just before the drain-claim CAS.
-	ind.slots[t2.slot].egress.Add(1)
+	ind.slots[t2.Index()].egress.Add(1)
 	gStale := ind.gate.Load()
 	if gStale&gateClosed == 0 || gStale&gateDrained != 0 || gStale&gateDirectMask != 0 {
 		t.Fatalf("unexpected gate %#x at the preemption point", gStale)

@@ -121,7 +121,12 @@ func (p *Proc) tryJoinWaiting(n *qnode.Node, t0, pt int64, dl lockcore.Deadline)
 	if n.Kind != qnode.Reader || !n.Flag.Blocked() {
 		return joinNo
 	}
-	t := n.Ind.ArriveLocal(p.ID, p.PI.LC)
+	t := n.Root.ArriveRoot()
+	if t.Arrived() {
+		p.PI.Inc(lockcore.CSNZIArriveRoot)
+	} else {
+		t = n.Ind.ArriveLocal(p.ID, p.PI.LC)
+	}
 	if !t.Arrived() {
 		return joinNo
 	}
@@ -178,33 +183,14 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 		}
 		tail := q.Tail.Load()
 		switch {
-		case tail == nil:
-			if rNode == nil {
-				rNode = p.AllocReaderNode()
-			}
-			rNode.Reset(nil)
-			rNode.Flag.Set(false)
-			if !q.Tail.CompareAndSwap(nil, rNode) {
-				slow = true
-				continue
-			}
-			p.PI.Inc(lockcore.ROLLReadEnqueue)
-			p.PI.Emit(lockcore.KindGroupEnqueue, 0, 0)
-			rNode.Ind.Open()
-			t := rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
-			if t.Arrived() {
-				p.Hold(rNode, t)
-				p.PI.Acquired(lockcore.KindReadAcquired, t0, t.TraceRoute())
-				p.PI.ProfAcquired(pt, slow)
-				return true
-			}
-			p.PI.Emit(lockcore.KindArriveFail, 0, 0)
-			slow = true
-			rNode = nil // in queue; the closing writer recycles it
-
-		case tail.Kind == qnode.Reader:
+		case tail != nil && tail.Kind == qnode.Reader:
 			// Tail is a reader node: join it directly (same as FOLL).
-			t := tail.Ind.ArriveLocal(p.ID, p.PI.LC)
+			t := tail.Root.ArriveRoot()
+			if t.Arrived() {
+				p.PI.Inc(lockcore.CSNZIArriveRoot)
+			} else {
+				t = tail.Ind.ArriveLocal(p.ID, p.PI.LC)
+			}
 			if t.Arrived() {
 				p.PI.Inc(lockcore.ROLLReadJoin)
 				qnode.Unalloc(rNode)
@@ -228,8 +214,12 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 
 		default:
 			// Tail is a writer: search backward for a waiting reader
-			// group to overtake into.
-			cur := tail.QPrev.Load()
+			// group to overtake into. (An empty queue has nothing to
+			// search.)
+			var cur *qnode.Node
+			if tail != nil {
+				cur = tail.QPrev.Load()
+			}
 			for steps := 0; cur != nil && steps < searchLimit; steps++ {
 				if cur.Kind == qnode.Reader {
 					if st := p.tryJoinWaiting(cur, t0, pt, dl); st != joinNo {
@@ -240,30 +230,43 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 				}
 				cur = cur.QPrev.Load()
 			}
-			// No joinable group: enqueue a fresh waiting reader node at
-			// the tail (FOLL behaviour), which becomes the new group.
+			// No joinable group: enqueue a fresh reader node at the tail
+			// (FOLL behaviour) — running on an empty queue, waiting behind
+			// the writer as the new group otherwise.
 			if rNode == nil {
 				rNode = p.AllocReaderNode()
 			}
 			rNode.Reset(tail)
-			rNode.Flag.Set(true)
+			rNode.Flag.Set(tail != nil)
 			if !q.Tail.CompareAndSwap(tail, rNode) {
 				slow = true
 				continue
 			}
 			p.PI.Inc(lockcore.ROLLReadEnqueue)
-			p.PI.Emit(lockcore.KindGroupEnqueue, 0, 1)
-			tail.QNext.Store(rNode)
+			if tail == nil {
+				p.PI.Emit(lockcore.KindGroupEnqueue, 0, 0)
+			} else {
+				p.PI.Emit(lockcore.KindGroupEnqueue, 0, 1)
+				tail.QNext.Store(rNode)
+				slow = true
+			}
 			rNode.Ind.Open()
-			t := rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
+			t := rNode.Root.ArriveRoot()
 			if t.Arrived() {
-				hint.Store(rNode)
+				p.PI.Inc(lockcore.CSNZIArriveRoot)
+			} else {
+				t = rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
+			}
+			if t.Arrived() {
+				if tail != nil {
+					hint.Store(rNode)
+				}
 				if rNode.Flag.Blocked() && !p.AwaitGroup(rNode, t, dl) {
 					return false
 				}
 				p.Hold(rNode, t)
-				p.PI.Acquired(lockcore.KindReadAcquired, t0, t.TraceRoute())
-				p.PI.ProfAcquired(pt, true)
+				p.PI.Acquired(lockcore.KindReadAcquired, t0, rind.TraceRoute(t))
+				p.PI.ProfAcquired(pt, slow)
 				return true
 			}
 			p.PI.Emit(lockcore.KindArriveFail, 0, 0)

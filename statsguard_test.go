@@ -602,3 +602,43 @@ func TestQueueLockReadFastPathBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestGOLLReadFastPathBounded is the tripwire for the uncontended
+// reader path GOLL, FOLL, ROLL, BRAVO's slow path and the kv store all
+// stand on: through ollock.Proc, an RLock/RUnlock pair is two interface
+// calls, and inside them one load, test and CAS on the C-SNZI root word
+// to arrive and one load and CAS to depart — no indicator call, no
+// frame, no probe. sync.RWMutex does the same work as two inlined
+// XADDs, and a closable indicator cannot trade its load-then-CAS for
+// one, so the pair must cost at most 1.65x sync.RWMutex's measured in
+// the same process: 1.79x while both went through rind.Indicator, the
+// ticket-translating adapter and the out-of-line C-SNZI call (three
+// calls a side), about 1.55x since; that chain creeping back costs more
+// than the margin.
+func TestGOLLReadFastPathBounded(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing-sensitive guard, skipped with -short and under the race detector")
+	}
+	for attempt := 0; ; attempt++ {
+		var mu sync.RWMutex
+		std := bestNsPerOp(func(ops int) {
+			for i := 0; i < ops; i++ {
+				mu.RLock()
+				mu.RUnlock()
+			}
+		})
+		p := ollock.MustNew(ollock.GOLL, 4).NewProc()
+		got := bestNsPerOp(func(ops int) {
+			for i := 0; i < ops; i++ {
+				p.RLock()
+				p.RUnlock()
+			}
+		})
+		if got <= 1.65*std {
+			return
+		}
+		if attempt == 2 {
+			t.Fatalf("goll uncontended RLock/RUnlock %.1f ns, sync.RWMutex %.1f ns: %.2fx, want <= 1.65x", got, std, got/std)
+		}
+	}
+}
