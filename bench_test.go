@@ -185,6 +185,36 @@ func BenchmarkUncontended(b *testing.B) {
 	}
 }
 
+// BenchmarkModeChange measures what alternating modes costs one
+// goroutine that never waits — next to BenchmarkUncontended, whose rows
+// never change mode: strict read/write alternation (ns per R+W pair),
+// and four reads to a write (ns per 4R+1W cycle; the first read
+// enqueues a group, three join it, the write takes it back). GOLL pays
+// nothing extra for the change; FOLL and ROLL pay one CloseIfEmpty and
+// one reader-node enqueue per round trip.
+func BenchmarkModeChange(b *testing.B) {
+	for _, name := range []string{"goll", "foll", "roll", "bravo-roll"} {
+		impl := locksuite.ByName(name)
+		if impl == nil {
+			b.Fatalf("no lock %q", name)
+		}
+		for _, reads := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%dr1w/%s", reads, name), func(b *testing.B) {
+				p := impl.New(1)()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for r := 0; r < reads; r++ {
+						p.RLock()
+						p.RUnlock()
+					}
+					p.Lock()
+					p.Unlock()
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkReadContended measures parallel read-side throughput (the
 // heart of the paper's contribution) for every lock via RunParallel.
 func BenchmarkReadContended(b *testing.B) {

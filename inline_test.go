@@ -15,7 +15,8 @@ import (
 // inlineBudget is the checked-in list of fast-path calls that must
 // compile to no call at all: the nil-guarded instrumentation helpers,
 // the ticket and grant-flag probes, the deadline's no-bound check, and
-// the conflict-free read pair on a resolved C-SNZI root word.
+// the conflict-free read pair and the take-it-empty close on a resolved
+// C-SNZI root word.
 // Each entry pairs the source spelling of a call with the callee name
 // the compiler prints for it; every occurrence in the algorithm
 // packages must show up in the compiler's inlining report at its own
@@ -41,19 +42,25 @@ var inlineBudget = []struct {
 	{regexp.MustCompile(`\bdl\.Expired\(\)`), "park.Deadline.Expired"},
 	{arriveRootRE, "csnzi.(*CSNZI).ArriveRoot"},
 	{departRootRE, "csnzi.(*CSNZI).DepartRoot"},
+	{closeRootRE, "csnzi.(*CSNZI).CloseIfEmpty"},
 }
 
 var (
 	arriveRootRE = regexp.MustCompile(`\.ArriveRoot\(\)`)
 	departRootRE = regexp.MustCompile(`\.DepartRoot\(\)`)
+	// closeRootRE: a writer taking a resting reader group empty, on the
+	// resolved root (r := oldTail.Root); every other CloseIfEmpty in the
+	// algorithm packages is a call through rind.Indicator.
+	closeRootRE = regexp.MustCompile(`\br\.CloseIfEmpty\(\)`)
 )
 
-// inlineReadSites are the read sites that must reach the root word
-// inline: each named function must hold at least one call matching src
-// (which the budget above then requires to be inlined). A site that
-// quietly went back to rind.Indicator.ArriveLocal/Depart would cost
+// inlineRootSites are the sites that must reach the root word inline —
+// the reads, and the write that takes a resting group empty: each named
+// function must hold at least one call matching src (which the budget
+// above then requires to be inlined). A site that quietly went back to
+// rind.Indicator.ArriveLocal/Depart/CloseIfEmpty would cost two or
 // three calls and pass every other check.
-var inlineReadSites = []struct {
+var inlineRootSites = []struct {
 	file, fn string
 	src      *regexp.Regexp
 }{
@@ -65,6 +72,8 @@ var inlineReadSites = []struct {
 	{"internal/foll/foll.go", "(p *Proc) rlock", arriveRootRE},
 	{"internal/roll/roll.go", "(p *Proc) rlock", arriveRootRE},
 	{"internal/roll/roll.go", "(p *Proc) tryJoinWaiting", arriveRootRE},
+	{"internal/foll/foll.go", "(p *Proc) lock", closeRootRE},
+	{"internal/roll/roll.go", "(p *Proc) lock", closeRootRE},
 }
 
 // inlineAdapters are the indicator adapters' one-CAS release calls: GOLL
@@ -96,7 +105,7 @@ var inlineForwards = []string{"(*CSNZI).ArriveLocal", "(*CSNZI).Depart", "(*CSNZ
 // that means the wrapper is itself inlinable, leaving the call to the
 // acquisition core. GOLL's RLock is the exception: it makes the root
 // arrival in its own body before the core's frame and probes
-// (inlineReadSites holds it to that), and that arrival plus the call to
+// (inlineRootSites holds it to that), and that arrival plus the call to
 // the core is past the inliner's budget — the wrapper is the one call,
 // and the fast path makes none from it.
 var inlineWrappers = []struct{ pkg, fn string }{
@@ -187,16 +196,18 @@ func TestInliningBudget(t *testing.T) {
 			t.Errorf("%s: no call matches %s — did the source spelling change?", a.file, a.src)
 		}
 	}
-	// 138 sites with the root pair inline at every read site (114
-	// before it, 139 when FOLL and ROLL each carried their own copy of
-	// the shared half). Every package but central holds at least 15 of
-	// them, so a spelling that stops matching in any one of them lands
-	// below 124.
+	// 131 sites: 138 with the root pair inline at every read site, less
+	// the three fresh-node arrivals (ArriveRoot, its two Arrived tests
+	// and its count, each) that OpenArrived replaced with one shared
+	// site, plus the two resolved-root CloseIfEmpty sites and the
+	// Blocked tests beside them. Every package but central holds at
+	// least 15 of them, so a spelling that stops matching in any one of
+	// them lands below 131 - 15 + 1 = 117.
 	t.Logf("%d budgeted call sites", sites)
-	if sites < 124 {
+	if sites < 117 {
 		t.Errorf("matched only %d budgeted call sites — did the source spellings change?", sites)
 	}
-	for _, rs := range inlineReadSites {
+	for _, rs := range inlineRootSites {
 		if !funcMatches(sources[rs.file], rs.fn, rs.src) {
 			t.Errorf("%s: func %s no longer calls %s", rs.file, rs.fn, rs.src)
 		}

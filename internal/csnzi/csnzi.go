@@ -388,16 +388,13 @@ func (c *CSNZI) OpenIfNoWaiters() bool {
 // reporting whether it did. This is the writer fast path: one CAS
 // acquires a free lock.
 func (c *CSNZI) CloseIfEmpty() bool {
-	for {
-		old := c.root.Load()
-		if old != 0 {
-			return false
-		}
+	for c.root.Load() == 0 {
 		if c.root.CompareAndSwap(0, closedBit) {
 			c.stats.Inc(obs.CSNZIClose, 0)
 			return true
 		}
 	}
+	return false
 }
 
 // Open reopens the C-SNZI, clearing the waiters flag. It requires (and

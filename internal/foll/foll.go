@@ -15,7 +15,8 @@
 // and the abandonment machinery are internal/qnode's, shared with ROLL.
 // This package is FOLL's acquisition policy over them: readers join
 // only the node at the tail, and a writer closes its reader predecessor
-// the moment it enqueues behind it.
+// the moment it enqueues behind it — trying it empty before linking: a
+// group closed with no surplus has no last departer to find the link.
 package foll
 
 import (
@@ -108,7 +109,7 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			// Enqueue a fresh reader node — on an empty queue with
 			// spin=false (its readers may run immediately), behind a writer
 			// waiting (spin=true) until the writer's release — then open
-			// its C-SNZI and join it.
+			// its C-SNZI with this reader already inside.
 			if rNode == nil {
 				rNode = p.AllocReaderNode()
 			}
@@ -126,28 +127,13 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 				tail.QNext.Store(rNode)
 				slow = true
 			}
-			rNode.Ind.Open()
-			t := rNode.Root.ArriveRoot()
-			if t.Arrived() {
-				p.PI.Inc(lockcore.CSNZIArriveRoot)
-			} else {
-				t = rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
+			p.OpenArrived(rNode)
+			if rNode.Flag.Blocked() && !p.AwaitGroup(rNode, rind.Direct, dl) {
+				return false
 			}
-			if t.Arrived() {
-				if rNode.Flag.Blocked() && !p.AwaitGroup(rNode, t, dl) {
-					return false
-				}
-				p.Hold(rNode, t)
-				p.PI.Acquired(lockcore.KindReadAcquired, t0, rind.TraceRoute(t))
-				p.PI.ProfAcquired(pt, slow)
-				return true
-			}
-			// A writer closed the node between Open and Arrive. The node
-			// is in the queue; the closer owns its cleanup. Retry with a
-			// new node.
-			p.PI.Emit(lockcore.KindArriveFail, 0, 0)
-			slow = true
-			rNode = nil
+			p.PI.Acquired(lockcore.KindReadAcquired, t0, lockcore.RouteRoot)
+			p.PI.ProfAcquired(pt, slow)
+			return true
 
 		default:
 			// Tail is a reader node: join it.
@@ -198,10 +184,10 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 		q.In.SpanObserve(lockcore.FOLLWriteWait, p.ID, w0)
 		return true // free lock acquired
 	}
-	w.Flag.Set(true)
-	oldTail.QNext.Store(w)
-	p.PI.Emit(lockcore.KindQueueEnqueue, 0, 1)
 	if oldTail.Kind == qnode.Writer {
+		w.Flag.Set(true)
+		oldTail.QNext.Store(w)
+		p.PI.Emit(lockcore.KindQueueEnqueue, 0, 1)
 		p.PI.BeginAt(t0, lockcore.PhaseQueueWait)
 		if w.Flag.Blocked() && !w.Flag.WaitUntil(q.In.Wait, p.ID, p.PI.TR, dl) {
 			return p.CancelWriteWait(dl, t0, pt, lockcore.PhaseQueueWait)
@@ -211,17 +197,33 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 		q.In.SpanObserve(lockcore.FOLLWriteWait, p.ID, w0)
 		return true
 	}
-	// Reader predecessor. Its C-SNZI may not be open yet (the enqueuer
-	// opens it just after the enqueue; see also node recycling): wait
-	// until it is, then close it to stop further readers joining. This
-	// wait is deliberately unbounded even on timed paths — the enqueuer
-	// opens the indicator within a few instructions of the enqueue.
+	// Reader predecessor: close it, to stop further readers joining. Try
+	// it empty first, before linking behind it — how the lock rests
+	// after any read. Closed with zero surplus, nobody will ever depart
+	// the group, so nobody will look for its successor: the links, and
+	// the flag a last departer would clear, are never written.
+	p.PI.Emit(lockcore.KindQueueEnqueue, 0, 1)
 	p.PI.BeginAt(t0, lockcore.PhaseDrainWait)
-	lockcore.WaitCond(q.In.Wait, p.ID, p.PI.TR, func() bool {
-		_, open := oldTail.Ind.Query()
-		return open
-	})
-	closedEmpty := oldTail.Ind.Close()
+	var closedEmpty bool
+	if r := oldTail.Root; r != nil {
+		closedEmpty = r.CloseIfEmpty()
+	} else {
+		closedEmpty = oldTail.Ind.CloseIfEmpty()
+	}
+	if !closedEmpty {
+		// Readers inside, or the C-SNZI not open yet (the enqueuer opens
+		// it just after the enqueue; see also node recycling): link, wait
+		// until it is open, and close it under them. This wait is
+		// deliberately unbounded even on timed paths — the enqueuer opens
+		// the indicator within a few instructions of the enqueue.
+		w.Flag.Set(true)
+		oldTail.QNext.Store(w)
+		lockcore.WaitCond(q.In.Wait, p.ID, p.PI.TR, func() bool {
+			_, open := oldTail.Ind.Query()
+			return open
+		})
+		closedEmpty = oldTail.Ind.Close()
+	}
 	p.PI.Emit(lockcore.KindIndClose, 0, 0)
 	if closedEmpty {
 		// Closed empty: no readers will signal us. Wait for the
@@ -236,7 +238,7 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 			p.Abandon(lockcore.PhaseDrainWait, dl)
 			return false
 		}
-		q.Recycle(oldTail, p.ID)
+		p.Recycle(oldTail)
 		p.PI.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteRoot)
 		p.PI.ProfAcquired(pt, true)
 		q.In.SpanObserve(lockcore.FOLLWriteWait, p.ID, w0)

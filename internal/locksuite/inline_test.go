@@ -101,7 +101,7 @@ func background(f func()) <-chan struct{} {
 // trace events, so the per-proc event order is the same on every run.
 func runRouteScript(t *testing.T, rl routeLock) {
 	t.Helper()
-	p := []TryProc{rl.mk(), rl.mk(), rl.mk()}
+	p := []TryProc{rl.mk(), rl.mk(), rl.mk(), rl.mk()}
 	// Read pairs, write pairs and successful tries on a free lock.
 	for i := 0; i < 3; i++ {
 		p[0].RLock()
@@ -131,14 +131,23 @@ func runRouteScript(t *testing.T, rl routeLock) {
 	}
 	p[0].RUnlock()
 	<-wrote
-	// A reader arrives behind the closer, waits, and is released.
+	// A reader arrives behind the closer and waits; a second writer (no
+	// history: its first queue events are these) queues behind the
+	// reader, finds the group occupied — so not its to take empty — and
+	// closes it under the reader, which is released, departs last, and
+	// hands off.
 	read := background(p[0].RLock)
 	rl.await(t, 0, "wait behind the writer", func(e trace.Event) bool {
 		return e.Kind == trace.KindPhaseBegin && (e.Phase == trace.PhaseQueueWait || e.Phase == trace.PhaseSpinWait)
 	})
+	wrote = background(p[3].Lock)
+	rl.await(t, 3, "queue behind the reader", func(e trace.Event) bool { return e.Kind == trace.KindQueueEnqueue })
 	p[2].Unlock()
 	<-read
+	rl.await(t, 3, "close the indicator", func(e trace.Event) bool { return e.Kind == trace.KindIndClose })
 	p[0].RUnlock()
+	<-wrote
+	p[3].Unlock()
 	if u, ok := p[0].(Upgrader); ok {
 		p[0].RLock()
 		if !u.TryUpgrade() {
@@ -181,8 +190,12 @@ func eventShapes(evs []trace.Event) map[int32][]string {
 // each lock built both ways and requires identical counters and
 // identical per-proc event sequences: under the default arrival
 // policy, where every conflict-free read takes the inline route, and
-// under WithDirectRetries(0), where every arrival is a tree arrival
-// the inline route must leave alone.
+// under WithDirectRetries(0), where every arrival the policy decides —
+// every join — is a tree arrival the inline route must leave alone. The
+// one root arrival left there is no decision: a FOLL or ROLL reader
+// that enqueues a group opens it with its own arrival inside
+// (OpenWithArrivals), direct by construction as GOLL's hand-off
+// arrivals are, so root arrivals number exactly the enqueues.
 func TestInlineAndInterfaceRoutesAreOneProtocol(t *testing.T) {
 	policies := map[string][]csnzi.Option{
 		"root-first": nil,
@@ -192,16 +205,20 @@ func TestInlineAndInterfaceRoutesAreOneProtocol(t *testing.T) {
 		for name, opts := range policies {
 			t.Run(kind+"/"+name, func(t *testing.T) {
 				t.Parallel()
-				inline, iface := newRouteLock(kind, 3, false, opts...), newRouteLock(kind, 3, true, opts...)
+				inline, iface := newRouteLock(kind, 4, false, opts...), newRouteLock(kind, 4, true, opts...)
 				runRouteScript(t, inline)
 				runRouteScript(t, iface)
 				got, want := inline.st.Snapshot().Counters, iface.st.Snapshot().Counters
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("counters differ:\ninline    %v\ninterface %v", got, want)
 				}
-				wantTree := name == "tree-only"
-				if (got["csnzi.arrive.root"] == 0) != wantTree || (got["csnzi.arrive.tree"] != 0) != wantTree {
-					t.Errorf("arrivals root=%d tree=%d do not fit the %s policy", got["csnzi.arrive.root"], got["csnzi.arrive.tree"], name)
+				root, tree, enqueues := got["csnzi.arrive.root"], got["csnzi.arrive.tree"], got[kind+".read.enqueue"]
+				fits := root != 0 && tree == 0
+				if name == "tree-only" {
+					fits = root == enqueues && tree != 0
+				}
+				if !fits {
+					t.Errorf("arrivals root=%d tree=%d (%d enqueues) do not fit the %s policy", root, tree, enqueues, name)
 				}
 				gotEv, wantEv := eventShapes(inline.tr.Snapshot()), eventShapes(iface.tr.Snapshot())
 				for proc := range wantEv {

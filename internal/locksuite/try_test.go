@@ -71,6 +71,20 @@ func TestTrySemantics(t *testing.T) {
 			p2.RLock()
 			p2.RUnlock()
 			p1.RUnlock()
+
+			// Free after reads: whatever the readers left behind (FOLL and
+			// ROLL rest on the drained group, still enqueued), the lock is
+			// free, and both tries must say so.
+			if !p3.TryLock() {
+				t.Fatal("TryLock failed on a lock free after reads")
+			}
+			p3.Unlock()
+			p1.RLock()
+			p1.RUnlock()
+			if !p3.TryRLock() {
+				t.Fatal("TryRLock failed on a lock free after reads")
+			}
+			p3.RUnlock()
 		})
 	}
 }

@@ -111,20 +111,8 @@ func (p *Proc) TryRLock() bool {
 		}
 		p.PI.Inc(q.ev.ReadEnqueue)
 		p.PI.Emit(lockcore.KindGroupEnqueue, 0, 0)
-		rNode.Ind.Open()
-		t := rNode.Root.ArriveRoot()
-		if t.Arrived() {
-			p.PI.Inc(lockcore.CSNZIArriveRoot)
-		} else {
-			t = rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
-		}
-		if !t.Arrived() {
-			// A writer closed the node already; the closer owns cleanup.
-			p.PI.Emit(lockcore.KindArriveFail, 0, 0)
-			return false
-		}
-		p.Hold(rNode, t)
-		p.PI.Acquired(lockcore.KindReadAcquired, t0, rind.TraceRoute(t))
+		p.OpenArrived(rNode)
+		p.PI.Acquired(lockcore.KindReadAcquired, t0, lockcore.RouteRoot)
 		p.PI.ProfAcquired(pt, false)
 		return true
 	case tail.Kind == Reader && !tail.Flag.Blocked():
@@ -153,20 +141,65 @@ func (p *Proc) TryRLock() bool {
 	return false
 }
 
-// TryLock acquires for writing without waiting; it reports success.
+// TryLock acquires for writing without waiting; it reports success. The
+// lock is free when the queue is empty or rests on a drained reader
+// group (see Idle), which is taken as Lock takes it — become its
+// successor, then close it empty — and only in that order: the tail
+// read here may be stale, and closing a node another writer queued
+// behind would consume the drain that writer waits for. A try that wins
+// the tail but not the close (a reader slipped in, or the node came
+// back as a waiting group) is refused; its node owes the group its
+// close, so a reaper finishes it.
 func (p *Proc) TryLock() bool {
 	q := p.Q
-	if q.Tail.Load() != nil {
+	tail := q.Tail.Load()
+	if tail != nil && !tail.resting() {
 		return false
 	}
 	t0 := p.PI.Now()
 	pt := p.PI.ProfTick()
 	w := p.WNode
 	w.Reset(nil)
-	if !q.Tail.CompareAndSwap(nil, w) {
+	if !q.Tail.CompareAndSwap(tail, w) {
 		return false
+	}
+	if tail != nil {
+		p.PI.Emit(lockcore.KindQueueEnqueue, 0, 1)
+		if tail.Flag.Blocked() || !tail.Ind.CloseIfEmpty() {
+			w.Flag.Set(true)
+			tail.QNext.Store(w)
+			p.WNode = NewWriterNode()
+			go q.ReapDrain(w, tail, p.ID)
+			return false
+		}
+		p.PI.Emit(lockcore.KindIndClose, 0, 0)
+		p.Recycle(tail)
 	}
 	p.PI.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteRoot)
 	p.PI.ProfAcquired(pt, false)
 	return true
+}
+
+// ReapDrain is the detached duty of a writer that walked away from w,
+// linked behind reader group oldTail, before closing the group: close
+// it once it is open and active (no earlier — under ROLL a waiting
+// group must stay joinable), recycle the node if the close drained it
+// (otherwise collect the last departer's grant), and release the write
+// acquisition the protocol forced through. No trace ring here — rings
+// are single-writer and belong to the proc's goroutine.
+func (q *Queue) ReapDrain(w, oldTail *Node, id int) {
+	lockcore.WaitCond(q.In.Wait, id, nil, func() bool {
+		_, open := oldTail.Ind.Query()
+		return open
+	})
+	oldTail.Flag.Wait(q.In.Wait, id, nil)
+	if oldTail.Ind.Close() {
+		if w.QPrev.Load() != nil {
+			w.QPrev.Store(nil) // head now
+		}
+		q.Recycle(oldTail, id)
+	} else {
+		w.Flag.Wait(q.In.Wait, id, nil)
+	}
+	q.UnlockNode(w, id)
 }

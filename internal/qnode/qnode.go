@@ -25,6 +25,11 @@
 // per-policy word in a node, QPrev, is maintained by load-compare-store
 // like every other word (see Reset), which for a policy that never
 // links backward is one plain load of a word that is always nil.
+//
+// A node in the pool is at rest (RestFault). Recycling gets it there by
+// load-compare-store too — a writer that closed the group empty before
+// linking behind it never wrote QNext — so the one word a recycled node
+// may carry for Reset to store over is a grant word left Granted.
 package qnode
 
 import (
@@ -255,11 +260,23 @@ func Unalloc(n *Node) {
 	}
 }
 
-// Recycle returns reader node n to the pool on behalf of the thread
-// that observed its indicator closed with zero surplus and has finished
-// with its successor link.
+// Recycle returns reader node n to the pool on behalf of the proc that
+// observed its indicator closed with zero surplus and has finished with
+// its successor link, if one was ever written.
+func (p *Proc) Recycle(n *Node) {
+	if n.QNext.Load() != nil {
+		n.QNext.Store(nil)
+	}
+	n.free()
+	p.PI.Inc(p.Q.ev.NodeRecycle)
+}
+
+// Recycle is Proc.Recycle for a reaper, which has no proc buffer to
+// count through.
 func (q *Queue) Recycle(n *Node, id int) {
-	n.QNext.Store(nil) // clean up before recycling
+	if n.QNext.Load() != nil {
+		n.QNext.Store(nil)
+	}
 	n.free()
 	q.In.Inc(q.ev.NodeRecycle, id)
 }
@@ -269,6 +286,17 @@ func (q *Queue) Recycle(n *Node, id int) {
 func (p *Proc) Hold(n *Node, t rind.Ticket) {
 	p.departFrom = n
 	p.ticket = t
+}
+
+// OpenArrived opens reader node n, which the proc has just enqueued,
+// with the proc's own arrival already inside — §2.1 gives Open its
+// (count, close) form for this — and holds it: one store, and no moment
+// at which a writer queuing behind n can close it before its enqueuer
+// is in. The arrival is a root arrival by construction, counted as one.
+func (p *Proc) OpenArrived(n *Node) {
+	n.Ind.OpenWithArrivals(1, false)
+	p.PI.Inc(lockcore.CSNZIArriveRoot)
+	p.Hold(n, rind.Direct)
 }
 
 // grant hands the lock to n, skipping nodes whose writers abandoned
@@ -328,9 +356,7 @@ func (p *Proc) RUnlock() {
 func (p *Proc) passOn(n *Node) {
 	succ := n.QNext.Load()
 	p.Q.grant(succ, p.ID, p.PI.TR)
-	n.QNext.Store(nil) // clean up before recycling
-	n.free()
-	p.PI.Inc(p.Q.ev.NodeRecycle)
+	p.Recycle(n)
 	p.PI.Emit(lockcore.KindHandoff, 0, lockcore.PackHandoff(1, succ.Kind == Writer))
 }
 
@@ -437,9 +463,12 @@ func (q *Queue) Idle() bool {
 		return false
 	}
 	n := q.Tail.Load()
-	if n == nil {
-		return true
-	}
+	return n == nil || n.resting()
+}
+
+// resting reports whether n, read as the tail, is a drained reader
+// group: open, zero surplus, unblocked.
+func (n *Node) resting() bool {
 	if n.Kind != Reader || n.Flag.Blocked() {
 		return false
 	}

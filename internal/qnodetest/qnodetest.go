@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"ollock/internal/chaos"
 	"ollock/internal/lockcore"
 	"ollock/internal/obs"
 	"ollock/internal/qnode"
@@ -449,4 +450,231 @@ func TrySemantics(t *testing.T, pol Policy) {
 	}
 	p1.RUnlock()
 	p2.RUnlock()
+	// The lock now rests on the drained group those readers left at the
+	// tail: free, to either try.
+	if !p2.TryLock() {
+		t.Fatal("TryLock failed on a lock at rest after reads")
+	}
+	if l.NodesInUse() != 0 {
+		t.Fatal("TryLock did not recycle the resting group it closed")
+	}
+	p2.Unlock()
+	p1.RLock()
+	p1.RUnlock()
+	if !p2.TryRLock() {
+		t.Fatal("TryRLock failed on a lock at rest after reads")
+	}
+	p2.RUnlock()
+	if !l.Idle() {
+		t.Fatal("lock not idle after the tries")
+	}
+}
+
+// TryLockHammer races TryLock against readers and blocking writers: a
+// try that wins the tail but loses the group to a reader hands its node
+// to a reaper, and when those finish the lock must be idle with the
+// pool at rest.
+func TryLockHammer(t *testing.T, pol Policy) {
+	const procs, ops = 6, 2000
+	l := pol.new(procs)
+	var a, b int64 // writers keep a == b; readers verify
+	var wg sync.WaitGroup
+	for g := 0; g < procs; g++ {
+		wg.Add(1)
+		go func(g int, p Proc) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				switch {
+				case g < 3:
+					p.RLock()
+					if a != b {
+						t.Error("reader saw a torn write")
+					}
+					p.RUnlock()
+					continue
+				case g == 3:
+					p.Lock()
+				case !p.TryLock():
+					continue
+				}
+				a++
+				b++
+				p.Unlock()
+			}
+		}(g, l.NewProc())
+	}
+	wg.Wait()
+	awaitQuiescence(t, l, 1)
+}
+
+// parkAt returns a chaos stepper that parks proc id at the nth protocol
+// step (Emit site, counted from 1) it reaches: reached is closed when
+// it gets there, and it proceeds once resume is closed.
+func parkAt(id, n int) (in *chaos.Injector, reached, resume chan struct{}) {
+	reached, resume = make(chan struct{}), make(chan struct{})
+	steps := 0 // touched only by proc id's goroutine
+	in = chaos.NewStepper(func(at int) {
+		if at != id {
+			return
+		}
+		if steps++; steps == n {
+			close(reached)
+			<-resume
+		}
+	})
+	return in, reached, resume
+}
+
+// await fails the test unless ch is closed in time.
+func await(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// stillBlocked fails the test if ch is closed within a grace period.
+func stillBlocked(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+		t.Fatal(what)
+	case <-time.After(10 * time.Millisecond):
+	}
+}
+
+// background runs f on its own goroutine and returns a channel closed
+// when it returns.
+func background(f func()) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	return done
+}
+
+// The write steps a proc emits behind a reader predecessor, in order.
+const (
+	stepQueueEnqueue = 1 // after the Swap, before the group is tried empty
+	stepIndClose     = 2 // the group is closed
+)
+
+// CloseBeforeLink hand-steps a writer that finds a reader group at the
+// tail: it takes a drained, active group with one CloseIfEmpty and never
+// links behind it; anything else in its way — a reader that got in
+// first, an indicator its enqueuer has not opened yet — sends it down
+// the linking path, where the last departer finds it.
+func CloseBeforeLink(t *testing.T, pol Policy) {
+	// rest builds a lock whose proc 1 parks at step, and leaves it
+	// resting on a drained group (proc 0's).
+	st := obs.New()
+	rest := func(step int) (l Lock, r, w Proc, g *qnode.Node, reached, resume chan struct{}) {
+		in, reached, resume := parkAt(1, step)
+		l = pol.New(3, lockcore.Instr{Chaos: in, Stats: st})
+		r, w = l.NewProc(), l.NewProc()
+		r.RLock()
+		r.RUnlock()
+		return l, r, w, l.Tail.Load(), reached, resume
+	}
+
+	t.Run("never-linked", func(t *testing.T) {
+		l, _, w, g, reached, resume := rest(stepIndClose)
+		locked := background(w.Lock)
+		await(t, reached, "the writer to close the group")
+		wn := w.Base.WNode
+		if g.QNext.Load() != nil || wn.QPrev.Load() != nil || wn.QNext.Load() != nil {
+			t.Error("the writer linked itself behind a group it took empty")
+		}
+		if nonzero, open := g.Ind.Query(); nonzero || open {
+			t.Error("the group is not closed and drained")
+		}
+		close(resume)
+		await(t, locked, "the writer to acquire")
+		if g.InUse() {
+			t.Error("the closed group was not recycled")
+		}
+		if f := l.RingFault(); f != "" {
+			t.Error(f)
+		}
+		w.Unlock()
+		if !l.Idle() || l.Tail.Load() != nil {
+			t.Error("lock not free and empty after the writer's release")
+		}
+	})
+
+	t.Run("stale-reader-first", func(t *testing.T) {
+		l, r, w, g, reached, resume := rest(stepQueueEnqueue)
+		locked := background(w.Lock)
+		await(t, reached, "the writer to swap itself in")
+		// A reader that read the tail before the swap joins the group now.
+		ticket := g.Ind.Arrive(r.Base.ID)
+		if !ticket.Arrived() {
+			t.Fatal("the group closed before the writer tried it")
+		}
+		r.Base.Hold(g, ticket)
+		close(resume)
+		awaitLinked(t, l, g, w.Base.WNode)
+		stillBlocked(t, locked, "the writer acquired over a reader")
+		r.RUnlock() // last out of the closed group: grants the writer
+		await(t, locked, "the reader's release to grant the writer")
+		w.Unlock()
+		awaitQuiescence(t, l, 0)
+	})
+
+	t.Run("try-loses-group-to-reader", func(t *testing.T) {
+		l, r, w, g, reached, resume := rest(stepQueueEnqueue)
+		var got bool
+		tried := background(func() { got = w.TryLock() })
+		await(t, reached, "the try to swap itself in")
+		wn := w.Base.WNode
+		ticket := g.Ind.Arrive(r.Base.ID)
+		r.Base.Hold(g, ticket)
+		close(resume)
+		await(t, tried, "the try to return")
+		if got {
+			t.Fatal("TryLock succeeded over a reader")
+		}
+		// The node the try left behind owes the group its close; a reaper
+		// has it, and the proc a fresh one.
+		if w.Base.WNode == wn {
+			t.Error("the refused try kept the node it enqueued")
+		}
+		awaitLinked(t, l, g, wn)
+		r.RUnlock()
+		awaitQuiescence(t, l, 0)
+		if !w.TryLock() {
+			t.Fatal("TryLock failed on the free lock the reaper left")
+		}
+		w.Unlock()
+		if n := st.Count(pol.Events.Timeout) + st.Count(pol.Events.Cancel); n != 0 {
+			t.Errorf("a refused try was counted as %d abandoned timed acquisitions", n)
+		}
+	})
+
+	t.Run("group-not-yet-open", func(t *testing.T) {
+		// Proc 1 is the reader here, parked between enqueuing its group
+		// behind a write holder and opening it.
+		in, reached, resume := parkAt(1, 1)
+		l := pol.New(3, lockcore.Instr{Chaos: in})
+		holder, r, w := holdWrite(l), l.NewProc(), l.NewProc()
+		read := background(r.RLock)
+		await(t, reached, "the reader to enqueue its group")
+		g := l.Tail.Load()
+		if _, open := g.Ind.Query(); g.Kind != qnode.Reader || open {
+			t.Fatal("the tail is not an unopened reader group")
+		}
+		locked := background(w.Lock)
+		awaitLinked(t, l, g, w.Base.WNode) // refused on the closed word: linking path
+		close(resume)
+		holder.Unlock()
+		await(t, read, "the group's grant")
+		stillBlocked(t, locked, "the writer acquired over a reader")
+		r.RUnlock()
+		await(t, locked, "the reader's release to grant the writer")
+		w.Unlock()
+		awaitQuiescence(t, l, 0)
+	})
 }

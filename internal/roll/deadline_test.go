@@ -4,6 +4,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ollock/internal/lockcore"
+	"ollock/internal/obs"
 )
 
 func holdWrite(l *RWLock) func() {
@@ -12,7 +15,7 @@ func holdWrite(l *RWLock) func() {
 	return p.Unlock
 }
 
-// TestWriterDrainTimeoutReaper drives the reapWriterDrain path: a
+// TestWriterDrainTimeoutReaper drives the qnode.ReapDrain path: a
 // writer times out while waiting for its waiting reader predecessor
 // group to activate (the pre-close reader-preference wait). The
 // detached reaper must still perform the deferred close and pass the
@@ -73,4 +76,55 @@ func TestWriterDrainTimeoutReaper(t *testing.T) {
 		t.Fatal("LockFor failed after reaper drain")
 	}
 	w2.Unlock()
+}
+
+// TestWaitingGroupIsNotTriedEmpty: a ROLL writer takes its reader
+// predecessor empty, before linking, only when the group is active. A
+// group still waiting — here the sharpest case, one whose only member
+// timed out, so a CloseIfEmpty would have succeeded — must stay open: a
+// reader arriving later overtakes the writer into it, and runs first.
+func TestWaitingGroupIsNotTriedEmpty(t *testing.T) {
+	st := obs.New()
+	l := New(4, WithInstr(lockcore.Instr{Stats: st}))
+	release := holdWrite(l)
+	r1, r2, w := l.NewProc(), l.NewProc(), l.NewProc()
+	if r1.RLockFor(5 * time.Millisecond) {
+		t.Fatal("RLockFor succeeded while write-held")
+	}
+	g := l.Tail.Load()
+	locked := make(chan struct{})
+	go func() { w.Lock(); close(locked) }()
+	// until polls for a queue state another goroutine is about to reach.
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	until("the writer to link behind the group", func() bool { return g.QNext.Load() == w.WNode })
+	if _, open := g.Ind.Query(); !open {
+		t.Fatal("the writer closed a waiting group")
+	}
+	read := make(chan struct{})
+	go func() { r2.RLock(); close(read) }()
+	until("the reader to join the group", func() bool { nonzero, _ := g.Ind.Query(); return nonzero })
+	release()
+	<-read
+	select {
+	case <-locked:
+		t.Fatal("the writer acquired over the reader that overtook it")
+	case <-time.After(10 * time.Millisecond):
+	}
+	r2.RUnlock()
+	<-locked
+	w.Unlock()
+	r2.PI.LC.Flush()
+	if n := st.Count(lockcore.ROLLOvertake); n != 1 {
+		t.Errorf("roll.overtake = %d, want 1", n)
+	}
+	if l.NodesInUse() != 0 || !l.Idle() {
+		t.Errorf("at quiescence: NodesInUse=%d Idle=%v", l.NodesInUse(), l.Idle())
+	}
 }

@@ -36,3 +36,5 @@ func TestReadTimeoutBehindWriter(t *testing.T)   { qnodetest.ReadTimeoutBehindWr
 func TestReadCtxCancel(t *testing.T)             { qnodetest.ReadCtxCancel(t, policy) }
 func TestReadCtxCancelBehindWriter(t *testing.T) { qnodetest.ReadCtxCancelBehindWriter(t, policy) }
 func TestTrySemantics(t *testing.T)              { qnodetest.TrySemantics(t, policy) }
+func TestTryLockHammer(t *testing.T)             { qnodetest.TryLockHammer(t, policy) }
+func TestCloseBeforeLink(t *testing.T)           { qnodetest.CloseBeforeLink(t, policy) }

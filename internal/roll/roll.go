@@ -25,14 +25,17 @@
 // unjoinable the moment a writer queued behind it, defeating the
 // overtaking entirely. Instead the writer defers the close until the
 // group is activated (its spin flag clears), the point after which no
-// searching reader targets the node anyway.
+// searching reader targets the node anyway. A group that is already
+// active when the writer arrives is closed at once, and tried empty
+// before the writer links behind it, exactly as under FOLL.
 //
 // The queue, its nodes and ring pool, release, the non-blocking tries
 // and the abandonment machinery are internal/qnode's, shared with FOLL.
 // This package is what §4.3 adds: the backward links (the substrate's
 // QPrev word, which only this policy sets), the lastReader hint, the
 // join-a-waiting-group rule (tryJoinWaiting and the back-walk), and the
-// deferred close with the reaper an abandoned deferred close needs.
+// deferred close (the reaper an abandoned one needs is the substrate's
+// ReapDrain, which a refused TryLock shares).
 package roll
 
 import (
@@ -250,28 +253,16 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 				tail.QNext.Store(rNode)
 				slow = true
 			}
-			rNode.Ind.Open()
-			t := rNode.Root.ArriveRoot()
-			if t.Arrived() {
-				p.PI.Inc(lockcore.CSNZIArriveRoot)
-			} else {
-				t = rNode.Ind.ArriveLocal(p.ID, p.PI.LC)
+			p.OpenArrived(rNode)
+			if tail != nil {
+				hint.Store(rNode)
 			}
-			if t.Arrived() {
-				if tail != nil {
-					hint.Store(rNode)
-				}
-				if rNode.Flag.Blocked() && !p.AwaitGroup(rNode, t, dl) {
-					return false
-				}
-				p.Hold(rNode, t)
-				p.PI.Acquired(lockcore.KindReadAcquired, t0, rind.TraceRoute(t))
-				p.PI.ProfAcquired(pt, slow)
-				return true
+			if rNode.Flag.Blocked() && !p.AwaitGroup(rNode, rind.Direct, dl) {
+				return false
 			}
-			p.PI.Emit(lockcore.KindArriveFail, 0, 0)
-			slow = true
-			rNode = nil // in queue; the closing writer recycles it
+			p.PI.Acquired(lockcore.KindReadAcquired, t0, lockcore.RouteRoot)
+			p.PI.ProfAcquired(pt, slow)
+			return true
 		}
 	}
 }
@@ -296,11 +287,11 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 		q.In.SpanObserve(lockcore.ROLLWriteWait, p.ID, w0)
 		return true
 	}
-	w.QPrev.Store(oldTail)
-	w.Flag.Set(true)
-	oldTail.QNext.Store(w)
-	p.PI.Emit(lockcore.KindQueueEnqueue, 0, 1)
 	if oldTail.Kind == qnode.Writer {
+		w.QPrev.Store(oldTail)
+		w.Flag.Set(true)
+		oldTail.QNext.Store(w)
+		p.PI.Emit(lockcore.KindQueueEnqueue, 0, 1)
 		p.PI.BeginAt(t0, lockcore.PhaseQueueWait)
 		if w.Flag.Blocked() && !w.Flag.WaitUntil(q.In.Wait, p.ID, p.PI.TR, dl) {
 			return p.CancelWriteWait(dl, t0, pt, lockcore.PhaseQueueWait)
@@ -310,38 +301,59 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 		q.In.SpanObserve(lockcore.ROLLWriteWait, p.ID, w0)
 		return true
 	}
-	// Reader-node predecessor. First wait out the enqueue/Open window
-	// (node recycling: the C-SNZI is closed until the enqueuer opens it).
-	// Deliberately unbounded even on timed paths — the enqueuer opens
-	// the indicator within a few instructions of the enqueue.
+	// Reader-node predecessor. An active group is tried empty first,
+	// before linking behind it — how the lock rests after any read.
+	// Closed with zero surplus, nobody will ever depart it, so nobody
+	// will look for its successor, and no overtaking reader can join it:
+	// neither link is written, nor the flag a last departer would clear.
+	p.PI.Emit(lockcore.KindQueueEnqueue, 0, 1)
 	p.PI.BeginAt(t0, lockcore.PhaseDrainWait)
-	lockcore.WaitCond(q.In.Wait, p.ID, p.PI.TR, func() bool {
-		_, open := oldTail.Ind.Query()
-		return open
-	})
-	// ROLL's key difference from FOLL: do NOT close the group's C-SNZI
-	// yet. While the group is still waiting (spin set), readers arriving
-	// later must be able to join it — that is the reader preference. We
-	// close only once the group is activated, after which no waiting
-	// reader targets it (the backward search joins only spin==true
-	// nodes).
-	if oldTail.Flag.Blocked() && !oldTail.Flag.WaitUntil(q.In.Wait, p.ID, p.PI.TR, dl) {
-		// Duty-phase abandonment: nobody else will ever close this
-		// group's indicator (the deferred close belongs to this queue
-		// position), so the duty cannot be dropped — detach it onto a
-		// reaper that finishes the protocol verbatim and releases.
-		p.WNode = qnode.NewWriterNode()
-		go reapWriterDrain(q, w, oldTail, p.ID)
-		p.Abandon(lockcore.PhaseDrainWait, dl)
-		return false
+	closedEmpty := false
+	if !oldTail.Flag.Blocked() {
+		if r := oldTail.Root; r != nil {
+			closedEmpty = r.CloseIfEmpty()
+		} else {
+			closedEmpty = oldTail.Ind.CloseIfEmpty()
+		}
 	}
-	closedEmpty := oldTail.Ind.Close()
+	if !closedEmpty {
+		// Link, and wait out the enqueue/Open window (node recycling: the
+		// C-SNZI is closed until the enqueuer opens it). Deliberately
+		// unbounded even on timed paths — the enqueuer opens the
+		// indicator within a few instructions of the enqueue.
+		w.QPrev.Store(oldTail)
+		w.Flag.Set(true)
+		oldTail.QNext.Store(w)
+		lockcore.WaitCond(q.In.Wait, p.ID, p.PI.TR, func() bool {
+			_, open := oldTail.Ind.Query()
+			return open
+		})
+		// ROLL's key difference from FOLL: do NOT close a waiting group's
+		// C-SNZI. While the group is still waiting (spin set), readers
+		// arriving later must be able to join it — that is the reader
+		// preference. We close only once the group is activated, after
+		// which no waiting reader targets it (the backward search joins
+		// only spin==true nodes).
+		if oldTail.Flag.Blocked() && !oldTail.Flag.WaitUntil(q.In.Wait, p.ID, p.PI.TR, dl) {
+			// Duty-phase abandonment: nobody else will ever close this
+			// group's indicator (the deferred close belongs to this queue
+			// position), so the duty cannot be dropped — detach it onto a
+			// reaper that finishes the protocol verbatim and releases.
+			p.WNode = qnode.NewWriterNode()
+			go q.ReapDrain(w, oldTail, p.ID)
+			p.Abandon(lockcore.PhaseDrainWait, dl)
+			return false
+		}
+		closedEmpty = oldTail.Ind.Close()
+	}
 	p.PI.Emit(lockcore.KindIndClose, 0, 0)
 	if closedEmpty {
 		// Group already drained: no reader will signal us; the grant we
-		// just observed (spin false) is ours to take over.
-		w.QPrev.Store(nil) // we are the head now
-		q.Recycle(oldTail, p.ID)
+		// observed (spin false) is ours to take over.
+		if w.QPrev.Load() != nil {
+			w.QPrev.Store(nil) // we are the head now
+		}
+		p.Recycle(oldTail)
 		p.PI.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteRoot)
 		p.PI.ProfAcquired(pt, true)
 		q.In.SpanObserve(lockcore.ROLLWriteWait, p.ID, w0)
@@ -354,23 +366,6 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 	p.PI.ProfAcquired(pt, true)
 	q.In.SpanObserve(lockcore.ROLLWriteWait, p.ID, w0)
 	return true
-}
-
-// reapWriterDrain is the detached duty of a writer that timed out while
-// waiting for its reader predecessor's activation: perform the deferred
-// close once the group activates, recycle the node if the close drained
-// it (otherwise collect the last departer's grant), and release the
-// write acquisition the protocol forced through. No trace ring here —
-// rings are single-writer and belong to the proc's goroutine.
-func reapWriterDrain(q *qnode.Queue, w, oldTail *qnode.Node, id int) {
-	oldTail.Flag.Wait(q.In.Wait, id, nil)
-	if oldTail.Ind.Close() {
-		w.QPrev.Store(nil) // head now
-		q.Recycle(oldTail, id)
-	} else {
-		w.Flag.Wait(q.In.Wait, id, nil)
-	}
-	q.UnlockNode(w, id)
 }
 
 // DumpLockState renders the live queue for the trace watchdog: the
