@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -24,31 +25,41 @@ import (
 )
 
 func main() {
-	threadsFlag := flag.String("threads", "8,64,192", "comma-separated thread counts")
-	readPct := flag.Float64("readpct", 99, "percentage of read acquisitions")
-	ops := flag.Int("ops", 200, "acquisitions per simulated thread")
-	seed := flag.Uint64("seed", 42, "PRNG seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: arguments in, output and exit status out.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("simfair", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	threadsFlag := fs.String("threads", "8,64,192", "comma-separated thread counts")
+	readPct := fs.Float64("readpct", 99, "percentage of read acquisitions")
+	ops := fs.Int("ops", 200, "acquisitions per simulated thread")
+	seed := fs.Uint64("seed", 42, "PRNG seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	threads, err := parseInts(*threadsFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "simfair:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "simfair:", err)
+		return 2
 	}
 
-	fmt.Printf("Acquisition latency (cycles), simulated T5440, %.0f%% reads\n\n", *readPct)
+	fmt.Fprintf(stdout, "Acquisition latency (cycles), simulated T5440, %.0f%% reads\n\n", *readPct)
 	for _, n := range threads {
-		fmt.Printf("threads = %d\n", n)
-		fmt.Printf("  %-9s %12s %12s %12s %12s %12s %12s %12s\n",
+		fmt.Fprintf(stdout, "threads = %d\n", n)
+		fmt.Fprintf(stdout, "  %-9s %12s %12s %12s %12s %12s %12s %12s\n",
 			"lock", "read mean", "read p99", "read max", "write mean", "write p99", "write max", "acq/s")
 		for _, f := range simlock.Figure5Locks() {
 			r := simlock.RunLatencyExperiment(f, sim.T5440(), n, *readPct/100, *ops, *seed)
-			fmt.Printf("  %-9s %12.0f %12d %12d %12.0f %12d %12d %12.3e\n",
+			fmt.Fprintf(stdout, "  %-9s %12.0f %12d %12d %12.0f %12d %12d %12.3e\n",
 				f.Name, r.Read.Mean, r.Read.P99, r.Read.Max,
 				r.Write.Mean, r.Write.P99, r.Write.Max, r.Throughput)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }
 
 func parseInts(s string) ([]int, error) {

@@ -128,12 +128,13 @@ type Backoff struct {
 	cur int
 }
 
-// defaultBackoff{Min,Max} are the library defaults, chosen so that the
-// uncontended path pays nothing and heavy contention quickly reaches the
-// yield point.
+// DefaultBackoffMin and DefaultBackoffMax are the library defaults,
+// chosen so that the uncontended path pays nothing and heavy contention
+// quickly reaches the yield point. Exported so the simulated queue
+// mutex (internal/sim/simlock) pauses by the same bounds as spin.Mutex.
 const (
-	defaultBackoffMin = 4
-	defaultBackoffMax = 1024
+	DefaultBackoffMin = 4
+	DefaultBackoffMax = 1024
 )
 
 // MaxBackoffSpins is the hard ceiling on spin iterations per Pause,
@@ -155,12 +156,12 @@ func (b *Backoff) Pause() {
 	if b.cur == 0 {
 		b.cur = b.Min
 		if b.cur <= 0 {
-			b.cur = defaultBackoffMin
+			b.cur = DefaultBackoffMin
 		}
 	}
 	limit := b.Max
 	if limit <= 0 {
-		limit = defaultBackoffMax
+		limit = DefaultBackoffMax
 	}
 	if limit > MaxBackoffSpins {
 		limit = MaxBackoffSpins

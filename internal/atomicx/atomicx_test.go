@@ -149,25 +149,25 @@ func TestBackoffGrowsAndSaturates(t *testing.T) {
 func TestBackoffZeroValueDefaults(t *testing.T) {
 	var b Backoff
 	b.Pause() // must not panic or spin forever
-	if b.cur != 2*defaultBackoffMin {
-		t.Fatalf("cur = %d, want %d", b.cur, 2*defaultBackoffMin)
+	if b.cur != 2*DefaultBackoffMin {
+		t.Fatalf("cur = %d, want %d", b.cur, 2*DefaultBackoffMin)
 	}
 }
 
 func TestBackoffClampsNonPositiveBounds(t *testing.T) {
-	// Min <= 0 falls back to defaultBackoffMin, Max <= 0 to
-	// defaultBackoffMax; negative values must behave like the zero value,
+	// Min <= 0 falls back to DefaultBackoffMin, Max <= 0 to
+	// DefaultBackoffMax; negative values must behave like the zero value,
 	// not spin backwards or cap growth at nothing.
 	b := Backoff{Min: -5, Max: -5}
 	b.Pause()
-	if b.cur != 2*defaultBackoffMin {
-		t.Fatalf("after first pause cur = %d, want %d", b.cur, 2*defaultBackoffMin)
+	if b.cur != 2*DefaultBackoffMin {
+		t.Fatalf("after first pause cur = %d, want %d", b.cur, 2*DefaultBackoffMin)
 	}
 	for i := 0; i < 20; i++ {
 		b.Pause()
 	}
-	if b.cur != defaultBackoffMax {
-		t.Fatalf("saturated cur = %d, want default max %d", b.cur, defaultBackoffMax)
+	if b.cur != DefaultBackoffMax {
+		t.Fatalf("saturated cur = %d, want default max %d", b.cur, DefaultBackoffMax)
 	}
 }
 

@@ -42,18 +42,22 @@ func TestBackoffMaxExponent(t *testing.T) {
 
 // TestBackoffDefaultsUnchanged pins the library defaults (Min 4, Max
 // 1024): the tuning the existing locks were measured with must not
-// drift when the cap machinery changes.
+// drift when the cap machinery changes. The exported names are also the
+// pause bounds of the simulated queue mutex (internal/sim/simlock).
 func TestBackoffDefaultsUnchanged(t *testing.T) {
+	if lo, hi := DefaultBackoffMin, DefaultBackoffMax; lo != 4 || hi != 1024 {
+		t.Fatalf("defaults are (%d, %d), want (4, 1024)", lo, hi)
+	}
 	var b Backoff
 	b.Pause()
-	if b.Spins() != 2*defaultBackoffMin {
-		t.Fatalf("first default pause left spin count %d, want %d", b.Spins(), 2*defaultBackoffMin)
+	if b.Spins() != 2*DefaultBackoffMin {
+		t.Fatalf("first default pause left spin count %d, want %d", b.Spins(), 2*DefaultBackoffMin)
 	}
 	for i := 0; i < 20; i++ {
 		b.Pause()
 	}
-	if b.Spins() != defaultBackoffMax {
-		t.Fatalf("saturated default spin count = %d, want %d", b.Spins(), defaultBackoffMax)
+	if b.Spins() != DefaultBackoffMax {
+		t.Fatalf("saturated default spin count = %d, want %d", b.Spins(), DefaultBackoffMax)
 	}
 	b.Reset()
 	if b.Spins() != 0 {

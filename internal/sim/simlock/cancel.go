@@ -152,12 +152,12 @@ func (p *gollProc) RLockUntil(c *sim.Ctx, deadline int64) bool {
 			l.tr.emit(c, p.id, trace.KindCancel, trace.PhaseNone, trace.RouteNone)
 			return false
 		}
+		c.Store(p.flag, 0)
 		l.meta.lock(c)
 		if _, open := l.cs.Query(c); open {
 			l.meta.unlock(c)
 			continue
 		}
-		c.Store(p.flag, 0)
 		l.q.enqueue(c, false, p.flag, p.slot)
 		l.meta.unlock(c)
 		l.tr.emit(c, p.id, trace.KindQueueEnqueue, trace.PhaseNone, trace.RouteNone)
@@ -191,6 +191,7 @@ func (p *gollProc) LockUntil(c *sim.Ctx, deadline int64) bool {
 		l.tr.emit(c, p.id, trace.KindCancel, trace.PhaseNone, trace.RouteNone)
 		return false
 	}
+	c.Store(p.flag, 0)
 	l.meta.lock(c)
 	if l.cs.Close(c) {
 		l.meta.unlock(c)
@@ -199,7 +200,6 @@ func (p *gollProc) LockUntil(c *sim.Ctx, deadline int64) bool {
 		return true
 	}
 	l.tr.emit(c, p.id, trace.KindIndClose, trace.PhaseNone, trace.RouteNone)
-	c.Store(p.flag, 0)
 	l.q.enqueue(c, true, p.flag, p.slot)
 	l.meta.unlock(c)
 	l.tr.emit(c, p.id, trace.KindQueueEnqueue, trace.PhaseNone, trace.RouteNone)

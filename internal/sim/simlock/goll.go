@@ -78,12 +78,12 @@ func (p *gollProc) RLock(c *sim.Ctx) {
 			return
 		}
 		l.tr.emit(c, p.id, trace.KindArriveFail, trace.PhaseNone, trace.RouteNone)
+		c.Store(p.flag, 0)
 		l.meta.lock(c)
 		if _, open := l.cs.Query(c); open {
 			l.meta.unlock(c)
 			continue
 		}
-		c.Store(p.flag, 0)
 		l.q.enqueue(c, false, p.flag, p.slot)
 		l.meta.unlock(c)
 		l.tr.emit(c, p.id, trace.KindQueueEnqueue, trace.PhaseNone, trace.RouteNone)
@@ -123,6 +123,7 @@ func (p *gollProc) Lock(c *sim.Ctx) {
 		l.stats.Observe(obs.GOLLWriteWait, p.id, c.Now()-w0)
 		return
 	}
+	c.Store(p.flag, 0)
 	l.meta.lock(c)
 	if l.cs.Close(c) {
 		l.meta.unlock(c)
@@ -131,7 +132,6 @@ func (p *gollProc) Lock(c *sim.Ctx) {
 		return
 	}
 	l.tr.emit(c, p.id, trace.KindIndClose, trace.PhaseNone, trace.RouteNone)
-	c.Store(p.flag, 0)
 	l.q.enqueue(c, true, p.flag, p.slot)
 	l.meta.unlock(c)
 	l.tr.emit(c, p.id, trace.KindQueueEnqueue, trace.PhaseNone, trace.RouteNone)

@@ -108,9 +108,14 @@ func histNames(sn ollock.Snapshot) []string {
 
 // scriptedCounters runs the scripted 3-readers + 1-writer scenario on
 // kind and returns the resulting counter snapshot: threads 0..2 each
-// perform one read acquisition around a 20-cycle critical section,
-// thread 3 one write acquisition. The simulator is deterministic, so
-// the counters are exact, not statistical.
+// perform one read acquisition, thread 3 one write acquisition. The
+// critical sections are 20 cycles, except that reader 1 — whose first
+// load takes the root's cold miss, so it arrives last, after readers 0
+// and 2 have left — holds for 200: a queueing GOLL writer touches three
+// cold lines (its flag, the metalock, the root) before its Close at
+// cycle ~300, and must still find a reader inside for the scenario to
+// contain a hand-off. The simulator is deterministic, so the counters
+// are exact, not statistical.
 func scriptedCounters(t *testing.T, kind string) ollock.Snapshot {
 	t.Helper()
 	f := simlock.ByName(kind)
@@ -122,6 +127,10 @@ func scriptedCounters(t *testing.T, kind string) ollock.Snapshot {
 	for i := 0; i < 4; i++ {
 		p := l.NewProc(i)
 		write := i == 3
+		hold := int64(20)
+		if i == 1 {
+			hold = 200
+		}
 		m.Spawn(func(c *sim.Ctx) {
 			if write {
 				p.Lock(c)
@@ -129,7 +138,7 @@ func scriptedCounters(t *testing.T, kind string) ollock.Snapshot {
 				p.Unlock(c)
 			} else {
 				p.RLock(c)
-				c.Work(20)
+				c.Work(hold)
 				p.RUnlock(c)
 			}
 		})

@@ -49,6 +49,7 @@ func (p *solarisProc) RLock(c *sim.Ctx) {
 			}
 			continue
 		}
+		c.Store(p.flag, 0)
 		l.meta.lock(c)
 		w = c.Load(l.word)
 		if w&(solWriteLocked|solWriteWanted) == 0 {
@@ -59,7 +60,6 @@ func (p *solarisProc) RLock(c *sim.Ctx) {
 			l.meta.unlock(c)
 			continue
 		}
-		c.Store(p.flag, 0)
 		l.q.enqueue(c, false, p.flag, nil)
 		l.meta.unlock(c)
 		c.SpinUntil(p.flag, func(v uint64) bool { return v == 1 })
@@ -77,6 +77,7 @@ func (p *solarisProc) Lock(c *sim.Ctx) {
 			}
 			continue
 		}
+		c.Store(p.flag, 0)
 		l.meta.lock(c)
 		w = c.Load(l.word)
 		if w&(solWriteLocked|solReaderMask|solHasWaiters) == 0 {
@@ -87,7 +88,6 @@ func (p *solarisProc) Lock(c *sim.Ctx) {
 			l.meta.unlock(c)
 			continue
 		}
-		c.Store(p.flag, 0)
 		l.q.enqueue(c, true, p.flag, nil)
 		l.meta.unlock(c)
 		c.SpinUntil(p.flag, func(v uint64) bool { return v == 1 })

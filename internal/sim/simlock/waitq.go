@@ -3,23 +3,36 @@ package simlock
 import (
 	"slices"
 
+	"ollock/internal/atomicx"
 	"ollock/internal/sim"
 )
 
-// simMutex is a test-and-test-and-set spin mutex on one simulated word
-// (the queue "metalock" of the GOLL and Solaris locks).
+// simMutex is the queue "metalock" of the GOLL and Solaris locks on one
+// simulated word: spin.Mutex.Lock line for line — a test-and-test-and-set
+// lock whose waiters poll with a doubling pause and CAS only once they
+// have seen the word free, so an unlock is not met by a herd of failed
+// CASes queued on the line ahead of the next holder's store.
 type simMutex struct {
 	w *sim.Word
 }
 
 func newSimMutex(m *sim.Machine) simMutex { return simMutex{w: m.NewWord(0)} }
 
+// lock pauses by atomicx.Backoff's default bounds, which is what
+// spin.Mutex runs with; one spin iteration is charged one cycle.
 func (mx simMutex) lock(c *sim.Ctx) {
+	if c.CAS(mx.w, 0, 1) {
+		return
+	}
+	pause := int64(atomicx.DefaultBackoffMin)
 	for {
+		for c.Load(mx.w) != 0 {
+			c.Work(pause)
+			pause = min(2*pause, atomicx.DefaultBackoffMax)
+		}
 		if c.CAS(mx.w, 0, 1) {
 			return
 		}
-		c.SpinUntil(mx.w, func(v uint64) bool { return v == 0 })
 	}
 }
 
@@ -48,6 +61,9 @@ type simWaitQueue struct {
 // queueOpCost approximates touching the queue's list structure.
 const queueOpCost = 5
 
+// enqueue publishes flag to releasers. Until then the word is private
+// to its proc, so callers reset it (a line a remote releaser wrote
+// last) before taking the metalock, not inside the section.
 func (q *simWaitQueue) enqueue(c *sim.Ctx, writer bool, flag, slot *sim.Word) {
 	c.Work(queueOpCost)
 	q.entries = append(q.entries, waitEntry{writer: writer, flag: flag, slot: slot})
