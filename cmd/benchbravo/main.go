@@ -14,12 +14,12 @@
 //
 // A second section (env "host", rows with oversub > 0) measures the
 // wait-policy dimension (ollock.WithWait) on real goroutines: for each
-// OLL lock (goll, roll), wait policy (spin, adaptive, array) and
+// OLL lock (goll, roll), wait policy (spin, adaptive) and
 // oversubscription multiplier (goroutines = N x GOMAXPROCS), it runs
 // the harness workload at two read mixes and reports throughput,
 // speedup over the pure-spin policy at the same point, and p99
 // acquisition latencies. These rows are host-dependent; their purpose
-// is the relative ordering (parking policies must win when goroutines
+// is the relative ordering (the parking policy must win when goroutines
 // outnumber GOMAXPROCS), not absolute numbers.
 //
 // Usage:
@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -60,8 +61,8 @@ type Series struct {
 	// Indicator is the read indicator backing both the wrapped and the
 	// base lock (csnzi, central, sharded; see ollock.WithIndicator).
 	Indicator string `json:"indicator"`
-	// WaitPolicy is the wait mode of ollock.WithWait (spin, adaptive,
-	// array). Sim rows always use spin (the paper's behavior).
+	// WaitPolicy is the wait mode of ollock.WithWait (spin, adaptive).
+	// Sim rows always use spin (the paper's behavior).
 	WaitPolicy string `json:"wait_policy"`
 	// Oversub is the oversubscription multiplier of a host row
 	// (goroutines = Oversub x GOMAXPROCS); 0 marks a sim row, where
@@ -203,20 +204,28 @@ func factories(baseName, indicator string) (base, wrapped simlock.Factory, err e
 	return
 }
 
-func main() {
-	threadsFlag := flag.String("threads", "64,256", "comma-separated simulated thread counts")
-	ops := flag.Int("ops", 120, "acquisitions per simulated thread")
-	runs := flag.Int("runs", 3, "seeded runs to average (paper uses 3)")
-	seed := flag.Uint64("seed", 42, "base PRNG seed")
-	oversub := flag.String("oversub", "1,4,16", "comma-separated host oversubscription multipliers (goroutines = mult x GOMAXPROCS); empty disables the host section")
-	oversubOps := flag.Int("oversubops", 500000, "acquisitions per goroutine in the host oversubscription section (large enough that each goroutine outlives a scheduler slice, so real lock convoys form)")
-	out := flag.String("out", "", "write JSON here (default stdout)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit status made explicit, so the
+// sweep can be driven in-process by the tests.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchbravo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	threadsFlag := fs.String("threads", "64,256", "comma-separated simulated thread counts")
+	ops := fs.Int("ops", 120, "acquisitions per simulated thread")
+	runs := fs.Int("runs", 3, "seeded runs to average (paper uses 3)")
+	seed := fs.Uint64("seed", 42, "base PRNG seed")
+	oversub := fs.String("oversub", "1,4,16", "comma-separated host oversubscription multipliers (goroutines = mult x GOMAXPROCS); empty disables the host section")
+	oversubOps := fs.Int("oversubops", 500000, "acquisitions per goroutine in the host oversubscription section (large enough that each goroutine outlives a scheduler slice, so real lock convoys form)")
+	out := fs.String("out", "", "write JSON here (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	threads, err := parseInts(*threadsFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchbravo:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchbravo:", err)
+		return 2
 	}
 
 	doc := Output{Tool: "benchbravo", Machine: "sim-T5440", Ops: *ops, Seed: *seed}
@@ -224,8 +233,8 @@ func main() {
 		for _, indicator := range indicators {
 			base, wrapped, err := factories(baseName, indicator)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchbravo:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "benchbravo:", err)
+				return 1
 			}
 			fracs := readFractions
 			if indicator != "csnzi" {
@@ -277,7 +286,7 @@ func main() {
 					}
 					s.Revocations = revs / int64(*runs)
 					doc.Series = append(doc.Series, s)
-					fmt.Fprintf(os.Stderr, "%-11s ind=%-8s t=%-4d read%%=%-5.1f %.3e vs %.3e acq/s (%.2fx, fast=%.0f%%, revs=%d)\n",
+					fmt.Fprintf(stderr, "%-11s ind=%-8s t=%-4d read%%=%-5.1f %.3e vs %.3e acq/s (%.2fx, fast=%.0f%%, revs=%d)\n",
 						s.Lock, s.Indicator, n, frac*100, s.Throughput, s.BaseThroughput, s.Speedup, s.FastReadFraction*100, s.Revocations)
 				}
 			}
@@ -287,26 +296,28 @@ func main() {
 	if *oversub != "" {
 		mults, err := parseInts(*oversub)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchbravo:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "benchbravo:", err)
+			return 2
 		}
-		doc.Series = append(doc.Series, oversubSweep(mults, *oversubOps, *runs, *seed)...)
+		doc.Series = append(doc.Series, oversubSweep(stderr, mults, *oversubOps, *runs, *seed)...)
 	}
 
 	enc, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchbravo:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchbravo:", err)
+		return 1
 	}
 	enc = append(enc, '\n')
 	if *out == "" {
-		os.Stdout.Write(enc)
-		return
+		_, err = stdout.Write(enc)
+	} else {
+		err = os.WriteFile(*out, enc, 0o644)
 	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchbravo:", err)
-		os.Exit(1)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchbravo:", err)
+		return 1
 	}
+	return 0
 }
 
 // hostImpl adapts an ollock facade lock to the harness: one shared lock
@@ -364,14 +375,14 @@ func (h *hostLocks) sum() (map[string]uint64, uint64) {
 }
 
 // oversubSweep runs the host (real goroutine) wait-policy section: for
-// each OLL lock, oversubscription multiplier and read mix, measure the
-// three wait policies and report each parking policy's speedup over
-// pure spin at the same point. Throughput is harness.Run's mean over
+// each OLL lock, oversubscription multiplier and read mix, measure
+// every wait policy and report the parking policy's speedup over pure
+// spin at the same point. Throughput is harness.Run's mean over
 // runs — no per-acquisition clock reads, so the measured op is the
 // lock and nothing else; the p99 fields come from one additional
 // harness.RunLatency pass, whose per-op timestamps would otherwise pad
 // every mode's op by two clock reads and compress the ratio.
-func oversubSweep(mults []int, ops, runs int, seed uint64) []Series {
+func oversubSweep(progress io.Writer, mults []int, ops, runs int, seed uint64) []Series {
 	procs := runtime.GOMAXPROCS(0)
 	var out []Series
 	for _, kind := range biasBaseKinds() {
@@ -410,7 +421,7 @@ func oversubSweep(mults []int, ops, runs int, seed uint64) []Series {
 						s.Speedup = s.Throughput / spinTP
 					}
 					out = append(out, s)
-					fmt.Fprintf(os.Stderr, "%-11s wait=%-8s over=%-3dx t=%-4d read%%=%-5.1f %.3e acq/s (%.2fx vs spin, p99 r=%dus w=%dus)\n",
+					fmt.Fprintf(progress, "%-11s wait=%-8s over=%-3dx t=%-4d read%%=%-5.1f %.3e acq/s (%.2fx vs spin, p99 r=%dus w=%dus)\n",
 						s.Lock, s.WaitPolicy, mult, threads, frac*100, s.Throughput, s.Speedup,
 						s.P99ReadNs/1000, s.P99WriteNs/1000)
 				}

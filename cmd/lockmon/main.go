@@ -143,7 +143,7 @@ func addWorkloadFlags(fs *flag.FlagSet) *workloadFlags {
 		lock:      fs.String("lock", "goll", "lock kind under test: "+kindList()),
 		indicator: fs.String("indicator", "csnzi", "read indicator: csnzi, central or sharded"),
 		bias:      fs.Bool("bias", false, "wrap with the BRAVO biased reader fast path"),
-		wait:      fs.String("wait", "spin", "wait policy: spin, adaptive or array"),
+		wait:      fs.String("wait", "spin", "wait policy: spin or adaptive"),
 		threads:   fs.Int("threads", 8, "concurrent goroutines"),
 		readPct:   fs.Float64("readpct", 95, "percentage of read acquisitions"),
 		work:      fs.Int("work", 0, "critical-section spin iterations"),

@@ -16,7 +16,7 @@
 // csnzi.* counter names, so the tables stay comparable across choices.
 //
 // With -json the full snapshots are emitted as a JSON object keyed by
-// kind, in the same shape WithStats publishes through expvar.
+// kind (ollock.Snapshot: counters and histogram summaries by name).
 //
 // With -trace the run is additionally flight-recorded (ollock.WithTrace)
 // and the recording is written to the named file in the same JSON shape

@@ -139,25 +139,11 @@ func (p *Proc) LockFor(d time.Duration) bool { return p.LockDeadline(lockcore.Af
 // RLockCtx acquires for reading, abandoning when ctx is done. It
 // returns nil on acquisition and the context's error otherwise.
 func (p *Proc) RLockCtx(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	dl := lockcore.FromContext(ctx)
-	if p.RLockDeadline(dl) {
-		return nil
-	}
-	return dl.Err()
+	return lockcore.AcquireCtx(ctx, p.RLockDeadline)
 }
 
 // LockCtx acquires for writing, abandoning when ctx is done. It
 // returns nil on acquisition and the context's error otherwise.
 func (p *Proc) LockCtx(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	dl := lockcore.FromContext(ctx)
-	if p.LockDeadline(dl) {
-		return nil
-	}
-	return dl.Err()
+	return lockcore.AcquireCtx(ctx, p.LockDeadline)
 }

@@ -71,25 +71,11 @@ func (l *RWLock) LockFor(d time.Duration) bool {
 // RLockCtx acquires for reading, abandoning when ctx is done. It
 // returns nil on acquisition and the context's error otherwise.
 func (l *RWLock) RLockCtx(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	dl := lockcore.FromContext(ctx)
-	if l.RLockDeadline(dl) {
-		return nil
-	}
-	return dl.Err()
+	return lockcore.AcquireCtx(ctx, l.RLockDeadline)
 }
 
 // LockCtx acquires for writing, abandoning when ctx is done. It
 // returns nil on acquisition and the context's error otherwise.
 func (l *RWLock) LockCtx(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	dl := lockcore.FromContext(ctx)
-	if l.LockDeadline(dl) {
-		return nil
-	}
-	return dl.Err()
+	return lockcore.AcquireCtx(ctx, l.LockDeadline)
 }

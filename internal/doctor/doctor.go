@@ -310,7 +310,7 @@ func ruleParkStorm(cfg Config, w Window, sig Signals) []Finding {
 		Summary: fmt.Sprintf("%d parks in %.1fs (%.2f per acquire) — waiters deschedule faster than they acquire",
 			sig.Parks, w.Seconds, sig.ParksPerAcquire),
 		Evidence: ev,
-		Advice:   "reduce oversubscription, or use WaitArray (TWA) so long-term waiters spin on private slots instead of churning the scheduler",
+		Advice:   "reduce oversubscription (fewer runnable goroutines per processor, shorter critical sections): parking is already the cheapest way to wait here, so keep WaitAdaptive and select it for any lock on this path that still spins",
 	}}
 }
 

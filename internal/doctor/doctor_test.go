@@ -135,8 +135,16 @@ func TestParkStormThresholds(t *testing.T) {
 			Deltas:  map[string]uint64{"park.park": parks, "csnzi.arrive.root": reads},
 		}
 	}
-	if f := Diagnose(cfg, []Window{mk(500, 100)}); len(f) != 1 || f[0].Rule != "park-storm" {
+	f := Diagnose(cfg, []Window{mk(500, 100)})
+	if len(f) != 1 || f[0].Rule != "park-storm" {
 		t.Fatalf("storm window did not fire: %v", f)
+	}
+	// The advice is what BENCH_bravo.json's oversubscription grid
+	// supports: fewer waiters, and the adaptive ladder for those left.
+	for _, want := range []string{"oversubscription", "WaitAdaptive"} {
+		if !strings.Contains(f[0].Advice, want) {
+			t.Errorf("park-storm advice does not mention %s: %q", want, f[0].Advice)
+		}
 	}
 	if f := Diagnose(cfg, []Window{mk(cfg.StormMinParks-1, 1)}); len(f) != 0 {
 		t.Fatalf("min-parks guard did not hold: %v", f)

@@ -84,7 +84,8 @@ var scenarios = map[string]func() []Window{
 	},
 	"park-storm": func() []Window {
 		// Oversubscribed adaptive waiting: waiters park three times per
-		// acquisition and spend most of the window descheduled.
+		// acquisition and spend most of the window descheduled — one
+		// park.wait observation per park, as the real ladder records.
 		return []Window{{
 			Lock:    "storm",
 			Seconds: 10,

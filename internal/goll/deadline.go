@@ -52,25 +52,11 @@ func (p *Proc) LockFor(d time.Duration) bool {
 // RLockCtx acquires for reading, abandoning when ctx is done. It
 // returns nil on acquisition and the context's error otherwise.
 func (p *Proc) RLockCtx(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	dl := lockcore.FromContext(ctx)
-	if p.rlock(dl) {
-		return nil
-	}
-	return dl.Err()
+	return lockcore.AcquireCtx(ctx, p.rlock)
 }
 
 // LockCtx acquires for writing, abandoning when ctx is done. It
 // returns nil on acquisition and the context's error otherwise.
 func (p *Proc) LockCtx(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	dl := lockcore.FromContext(ctx)
-	if p.lock(dl) {
-		return nil
-	}
-	return dl.Err()
+	return lockcore.AcquireCtx(ctx, p.lock)
 }

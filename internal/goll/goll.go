@@ -310,7 +310,7 @@ func (p *Proc) handOff(from waitq.Kind, released lockcore.TraceKind) {
 	l.meta.Unlock()
 	l.in.Inc(lockcore.GOLLHandoff, p.id)
 	p.pi.Emit(lockcore.KindHandoff, 0, lockcore.PackHandoff(batch.Count(), batch.Kind == waitq.Writer))
-	batch.SignalWith(l.in.Wait)
+	batch.Signal()
 	p.pi.Released(released)
 	p.pi.ProfReleased()
 }
@@ -461,7 +461,7 @@ func (p *Proc) Downgrade() {
 	l.cs.OpenWithArrivals(1+readers.Count(), l.q.NumWriters() != 0)
 	l.meta.Unlock()
 	p.ticket = l.cs.DirectTicket()
-	readers.SignalWith(l.in.Wait)
+	readers.Signal()
 }
 
 // DumpLockState implements trace.StateDumper: a human-readable

@@ -163,9 +163,22 @@ func After(d time.Duration) Deadline { return park.DeadlineAfter(d) }
 // At returns a deadline at the absolute time t.
 func At(t time.Time) Deadline { return park.DeadlineAt(t) }
 
-// FromContext returns a deadline driven by ctx (cancellation and
-// ctx's own deadline, if any).
-func FromContext(ctx context.Context) Deadline { return park.DeadlineCtx(ctx) }
+// AcquireCtx is the body of every RLockCtx/LockCtx: a context that is
+// already done acquires nothing; otherwise acquire runs under a
+// deadline driven by ctx (cancellation and ctx's own deadline, if
+// any), and a failed acquisition reports the context's error —
+// context.DeadlineExceeded when only the captured copy of its deadline
+// has fired yet.
+func AcquireCtx(ctx context.Context, acquire func(Deadline) bool) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	dl := park.DeadlineCtx(ctx)
+	if acquire(dl) {
+		return nil
+	}
+	return dl.Err()
+}
 
 // The algorithm packages call Flag.Blocked, Flag.Set and
 // Deadline.Expired on their fast paths through the aliases above,

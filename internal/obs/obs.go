@@ -37,7 +37,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"sort"
 	"strings"
@@ -159,9 +158,6 @@ const (
 	ParkPark
 	// ParkUnpark counts parked waiters woken by a grant.
 	ParkUnpark
-	// ParkArrayWait counts waits that moved onto a private waiting-
-	// array slot (TWA long-term waiting; one per wait episode).
-	ParkArrayWait
 	// ParkTimeout counts timed waits that expired before the grant —
 	// the park layer's view of every abandoned acquisition above it.
 	ParkTimeout
@@ -206,7 +202,6 @@ var eventNames = [NumEvents]string{
 	ParkYield:          "park.yield",
 	ParkPark:           "park.park",
 	ParkUnpark:         "park.unpark",
-	ParkArrayWait:      "park.array.wait",
 	ParkTimeout:        "park.timeout",
 }
 
@@ -319,7 +314,7 @@ type histStripe struct {
 type Option func(*Stats)
 
 // WithName sets the stats block's name, used by Snapshot and as the
-// expvar key suffix ("ollock.<name>").
+// block's key in a Registry.
 func WithName(name string) Option { return func(s *Stats) { s.name = name } }
 
 // WithStripes sets the number of counter stripes (rounded up to a
@@ -458,7 +453,7 @@ func (s *Stats) inScope(scope string) bool {
 // an existing block (e.g. the BRAVO wrapper over an OLL lock); a nil
 // or unrestricted block is left as is. Safe concurrently with
 // Snapshot: the scope set is guarded, so a wrapper constructed while
-// another goroutine snapshots (e.g. an expvar poll) does not race.
+// another goroutine snapshots (e.g. a metrics sampler poll) does not race.
 func (s *Stats) AddScope(scope string) {
 	if s == nil {
 		return
@@ -559,40 +554,6 @@ func (sn Snapshot) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// --- expvar publishing ---
-
-var (
-	pubMu sync.Mutex
-	// pubs maps expvar key -> current stats block. Re-publishing a
-	// name (a fresh lock with the same name) swaps the block behind
-	// the already-registered expvar.Func, since expvar forbids
-	// duplicate registration.
-	pubs = map[string]*Stats{}
-)
-
-// PublishExpvar registers the stats block under the expvar key
-// "ollock.<name>", so live snapshots appear on /debug/vars alongside
-// the runtime's. Publishing a second block under the same name
-// atomically replaces the first (the expvar entry reflects the newest
-// lock). Blocks without a name are not published.
-func (s *Stats) PublishExpvar() {
-	if s == nil || s.name == "" {
-		return
-	}
-	key := "ollock." + s.name
-	pubMu.Lock()
-	defer pubMu.Unlock()
-	if _, ok := pubs[key]; !ok {
-		expvar.Publish(key, expvar.Func(func() any {
-			pubMu.Lock()
-			st := pubs[key]
-			pubMu.Unlock()
-			return st.Snapshot()
-		}))
-	}
-	pubs[key] = s
 }
 
 // EachCounter calls fn for every in-scope event with its current

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -181,34 +179,6 @@ func TestStatsHistObserve(t *testing.T) {
 	}
 	if hs.Count != 8 || hs.Max != 8000 {
 		t.Fatalf("snapshot hist = %+v", hs)
-	}
-}
-
-func TestPublishExpvarReplaces(t *testing.T) {
-	s1 := New(WithName("test-lock"), WithScopes("goll"))
-	s1.Inc(GOLLHandoff, 0)
-	s1.PublishExpvar()
-	v := expvar.Get("ollock.test-lock")
-	if v == nil {
-		t.Fatal("expvar key not published")
-	}
-	var sn Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &sn); err != nil {
-		t.Fatalf("expvar value not JSON: %v", err)
-	}
-	if sn.Counter("goll.handoff") != 1 {
-		t.Fatalf("published goll.handoff = %d, want 1", sn.Counter("goll.handoff"))
-	}
-	// Re-publishing under the same name swaps the block (no panic).
-	s2 := New(WithName("test-lock"), WithScopes("goll"))
-	s2.Inc(GOLLHandoff, 0)
-	s2.Inc(GOLLHandoff, 1)
-	s2.PublishExpvar()
-	if err := json.Unmarshal([]byte(expvar.Get("ollock.test-lock").String()), &sn); err != nil {
-		t.Fatalf("expvar value not JSON: %v", err)
-	}
-	if sn.Counter("goll.handoff") != 2 {
-		t.Fatalf("after republish goll.handoff = %d, want 2", sn.Counter("goll.handoff"))
 	}
 }
 

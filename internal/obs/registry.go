@@ -6,12 +6,11 @@ import (
 )
 
 // Registry is an enumerable set of Stats blocks — the handle the
-// metrics sampler (internal/metrics) polls. Where PublishExpvar makes
-// one block visible to humans on /debug/vars, a Registry makes a
-// whole fleet of blocks visible to machinery: the sampler iterates it
-// every period without reaching into expvar's global string-keyed
-// namespace, and tests can build private registries that see nothing
-// but their own locks.
+// metrics sampler (internal/metrics) polls. A Registry makes a whole
+// fleet of blocks visible to machinery — the sampler iterates it every
+// period, /debug/ollock and the Prometheus exposition render it — with
+// no process-global namespace behind it, so tests can build private
+// registries that see nothing but their own locks.
 //
 // Registration is keyed by the block's name; registering a second
 // block under a taken key gets a deterministic "#2"-style suffix

@@ -125,7 +125,7 @@ func TestWaiterWaitUntil(t *testing.T) {
 				close(done)
 			}()
 			time.Sleep(time.Millisecond)
-			w.Signal(pol)
+			w.Signal()
 			select {
 			case <-done:
 			case <-time.After(10 * time.Second):
@@ -134,14 +134,14 @@ func TestWaiterWaitUntil(t *testing.T) {
 			w.Reset()
 
 			// Pre-signaled: granted immediately even with an expired bound.
-			w.Signal(pol)
+			w.Signal()
 			if !w.WaitUntil(pol, 0, nil, DeadlineAfter(-time.Second)) {
 				t.Fatal("pre-signaled waiter reported timeout")
 			}
 			w.Reset()
 
 			// Zero deadline selects the untimed path and always grants.
-			w.Signal(pol)
+			w.Signal()
 			if !w.WaitUntil(pol, 0, nil, Deadline{}) {
 				t.Fatal("no-bound WaitUntil reported timeout")
 			}
@@ -181,7 +181,7 @@ func TestWaiterTimeoutCounts(t *testing.T) {
 	if st.Count(obs.ParkTimeout) != 1 {
 		t.Fatalf("park.timeout = %d after timeout, want 1", st.Count(obs.ParkTimeout))
 	}
-	w.Signal(pol)
+	w.Signal()
 	w.WaitUntil(pol, 0, nil, DeadlineAfter(time.Hour))
 	if st.Count(obs.ParkTimeout) != 1 {
 		t.Fatalf("park.timeout = %d after grant, want 1", st.Count(obs.ParkTimeout))
@@ -193,18 +193,16 @@ func TestWaiterTimeoutCounts(t *testing.T) {
 // CASes wParked→wIdle while Signal swaps the word and sends only if it
 // observed wParked. Exactly one side may own the round.
 func TestWaiterTimeoutSignalRaceHandStepped(t *testing.T) {
-	pol := New(ModeAdaptive)
-
 	// Step A — timeout wins the word: the CAS lands before Signal's
 	// swap, so Signal must see wIdle and send nothing (a send here would
 	// strand a token for the cell's next round).
 	var w Waiter
 	w.sem = make(chan struct{}, 1)
 	w.state.Store(wParked)
-	if !w.state.CompareAndSwap(wParked, wIdle) {
+	if !w.disarm(nil) {
 		t.Fatal("timeout CAS failed with no signaler")
 	}
-	w.Signal(pol)
+	w.Signal()
 	select {
 	case <-w.sem:
 		t.Fatal("Signal sent a token after losing the state word: stale token")
@@ -220,8 +218,8 @@ func TestWaiterTimeoutSignalRaceHandStepped(t *testing.T) {
 	var w2 Waiter
 	w2.sem = make(chan struct{}, 1)
 	w2.state.Store(wParked)
-	w2.Signal(pol)
-	if w2.state.CompareAndSwap(wParked, wIdle) {
+	w2.Signal()
+	if w2.disarm(nil) {
 		t.Fatal("timeout CAS won after Signal committed")
 	}
 	select {
@@ -235,17 +233,15 @@ func TestWaiterTimeoutSignalRaceHandStepped(t *testing.T) {
 // timed-out waiter cancels its parked record; the granter's sweep only
 // sends on records it claimed.
 func TestFlagTimeoutRaceHandStepped(t *testing.T) {
-	pol := New(ModeAdaptive)
-
 	// Timeout wins: record canceled before the sweep. Clear must skip it.
 	var f Flag
 	f.Set(true)
 	r := &parkRec{sem: make(chan struct{}, 1)}
 	f.parked.Store(r)
-	if !r.state.CompareAndSwap(recWaiting, recCanceled) {
+	if !f.disarm(r) {
 		t.Fatal("cancel CAS failed with no granter")
 	}
-	f.Clear(pol)
+	f.Clear()
 	select {
 	case <-r.sem:
 		t.Fatal("sweep sent a wake to a timed-out record")
@@ -257,8 +253,8 @@ func TestFlagTimeoutRaceHandStepped(t *testing.T) {
 	f.Set(true)
 	r2 := &parkRec{sem: make(chan struct{}, 1)}
 	f.parked.Store(r2)
-	f.Clear(pol)
-	if r2.state.CompareAndSwap(recWaiting, recCanceled) {
+	f.Clear()
+	if f.disarm(r2) {
 		t.Fatal("cancel CAS won after the sweep claimed the record")
 	}
 	select {
@@ -286,7 +282,7 @@ func TestFlagWaitUntil(t *testing.T) {
 				f.Wait(pol, 0, nil)
 			}()
 			time.Sleep(time.Millisecond)
-			f.Clear(pol)
+			f.Clear()
 			waitDone(t, &wg, "post-timeout flag waiter")
 
 			// A cleared flag grants instantly even with an expired bound.
@@ -330,7 +326,7 @@ func TestWaitCondUntil(t *testing.T) {
 // in-flight grant on the re-armed cell, and a stranded or stale token
 // would surface as a hang or a spurious early grant in a later round.
 func TestWaiterTimeoutHammer(t *testing.T) {
-	for _, pol := range []*Policy{New(ModeSpin), New(ModeAdaptive), New(ModeArray, WithArraySize(4))} {
+	for _, pol := range []*Policy{New(ModeSpin), New(ModeAdaptive)} {
 		pol := pol
 		t.Run(pol.Mode().String(), func(t *testing.T) {
 			t.Parallel()
@@ -361,7 +357,7 @@ func TestWaiterTimeoutHammer(t *testing.T) {
 							case 2:
 								time.Sleep(sleep)
 							}
-							w.Signal(pol)
+							w.Signal()
 							close(done)
 						}()
 						if !w.WaitUntil(pol, g, nil, DeadlineAfter(d)) {
@@ -383,7 +379,7 @@ func TestWaiterTimeoutHammer(t *testing.T) {
 // round — canceled records accumulating on the list must never cost a
 // wake.
 func TestFlagTimeoutHammer(t *testing.T) {
-	for _, pol := range []*Policy{New(ModeAdaptive), New(ModeArray, WithArraySize(4))} {
+	for _, pol := range []*Policy{New(ModeAdaptive)} {
 		pol := pol
 		t.Run(pol.Mode().String(), func(t *testing.T) {
 			t.Parallel()
@@ -414,7 +410,7 @@ func TestFlagTimeoutHammer(t *testing.T) {
 				case 2:
 					time.Sleep(time.Duration(rng.Intn(30)) * time.Microsecond)
 				}
-				f.Clear(pol)
+				f.Clear()
 				waitDone(t, &wg, "timed flag waiters")
 			}
 		})

@@ -7,9 +7,9 @@ import (
 	"ollock/internal/obs"
 )
 
-// TestParkWaitHistogramRecorded checks both descheduling paths sample
-// the park.wait histogram exactly once per park: the channel park in
-// waitAdaptive and the timed-sleep ladder in WaitCond.
+// TestParkWaitHistogramRecorded checks every descheduling path samples
+// the park.wait histogram exactly once per park: the channel park of a
+// Waiter and of a Flag, and the timed-sleep ladder in WaitCond.
 func TestParkWaitHistogramRecorded(t *testing.T) {
 	st := obs.New(obs.WithScopes("park"))
 	pol := New(ModeAdaptive, WithStats(st))
@@ -24,7 +24,7 @@ func TestParkWaitHistogramRecorded(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	time.Sleep(time.Millisecond) // measurable parked dwell
-	w.Signal(pol)
+	w.Signal()
 	<-done
 	h := st.Hist(obs.ParkWait)
 	if h.Count() != 1 {
@@ -32,6 +32,23 @@ func TestParkWaitHistogramRecorded(t *testing.T) {
 	}
 	if h.Sum() <= 0 {
 		t.Fatalf("park.wait sum after 1ms parked dwell = %d, want > 0", h.Sum())
+	}
+
+	// The same ladder parked on a Flag record (every FOLL/ROLL park).
+	var f Flag
+	f.Set(true)
+	done = make(chan struct{})
+	go func() {
+		f.Wait(pol, 0, nil)
+		close(done)
+	}()
+	for f.parked.Load() == nil {
+		time.Sleep(100 * time.Microsecond)
+	}
+	f.Clear()
+	<-done
+	if h = st.Hist(obs.ParkWait); h.Count() != 2 {
+		t.Fatalf("park.wait count after flag park = %d, want 2", h.Count())
 	}
 
 	// Sleep-ladder path: cond stays false long enough to exhaust the
@@ -42,8 +59,8 @@ func TestParkWaitHistogramRecorded(t *testing.T) {
 		return calls > hotSpinBudget+yieldBudget+8
 	})
 	h = st.Hist(obs.ParkWait)
-	if h.Count() != 2 {
-		t.Fatalf("park.wait count after sleep ladder = %d, want 2", h.Count())
+	if h.Count() != 3 {
+		t.Fatalf("park.wait count after sleep ladder = %d, want 3", h.Count())
 	}
 	if got, want := st.Count(obs.ParkPark), st.Count(obs.ParkUnpark); got != want {
 		t.Fatalf("park/unpark unbalanced: %d/%d", got, want)

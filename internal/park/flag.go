@@ -22,11 +22,9 @@
 package park
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"ollock/internal/atomicx"
-	"ollock/internal/obs"
 	"ollock/internal/trace"
 )
 
@@ -46,9 +44,8 @@ type parkRec struct {
 	sem   chan struct{}
 }
 
-// Flag packs the blocked bit (bit 0) and the node's waiting-array slot
-// key (bits 1..31) into one word, with the parked-waiter list alongside
-// on the same private cache line — the line is private to this node's
+// Flag is the blocked word with the parked-waiter list alongside on
+// the same private cache line — the line is private to this node's
 // waiters by construction, which is the MCS property the queue locks
 // depend on.
 type Flag struct {
@@ -63,127 +60,70 @@ type Flag struct {
 // the node is private (before publication or after reclaim), exactly
 // like the PaddedBool store it replaces — except that it stores only
 // when the word changes: an atomic store is a locked instruction, and
-// a recycled node's flag usually already reads as asked. The slot key
-// is minted on first use and survives re-Sets, so a recycled node
-// keeps its array slot.
+// a recycled node's flag usually already reads as asked.
 func (f *Flag) Set(blocked bool) {
-	w := f.word.Load()
-	nw := w &^ 1
+	var nw uint32
 	if blocked {
-		nw |= 1
+		nw = 1
 	}
-	if nw>>1 == 0 {
-		nw |= newKey() << 1
-	}
-	if nw != w {
+	if f.word.Load() != nw {
 		f.word.Store(nw)
 	}
 }
 
 // Blocked reports whether the flag is raised (the waiter must keep
 // waiting). This is the grant word the spin policy spins on.
-func (f *Flag) Blocked() bool { return f.word.Load()&1 != 0 }
+func (f *Flag) Blocked() bool { return f.word.Load() != 0 }
 
 // Wait blocks until the flag is cleared, waiting per pol.
-func (f *Flag) Wait(pol *Policy, id int, tr *trace.Local) {
-	if !f.Blocked() {
-		return
-	}
-	switch pol.Mode() {
-	case ModeAdaptive:
-		f.waitAdaptive(pol, id, tr)
-	case ModeArray:
-		f.waitArray(pol, id, tr)
-	default:
-		atomicx.SpinUntil(func() bool { return !f.Blocked() })
-	}
+func (f *Flag) Wait(pol *Policy, id int, tr *trace.Local) { f.WaitUntil(pol, id, tr, Deadline{}) }
+
+// WaitUntil is Wait with a bound: true once the flag is cleared, false
+// if dl expired first. A false return leaves any parked record
+// canceled (the granter's sweep skips it), so a subsequent Wait on the
+// same flag starts a fresh round.
+func (f *Flag) WaitUntil(pol *Policy, id int, tr *trace.Local, dl Deadline) bool {
+	return pol.wait(id, tr, dl, func() bool { return !f.Blocked() }, f)
 }
 
-func (f *Flag) waitAdaptive(pol *Policy, id int, tr *trace.Local) {
-	if hotSpin(func() bool { return !f.Blocked() }) {
-		return
-	}
-	pol.stats().Inc(obs.ParkYield, id)
-	for i, n := 0, yieldsFor(); i < n; i++ {
-		if !f.Blocked() {
-			return
-		}
-		runtime.Gosched()
-	}
-	for f.Blocked() {
-		r := &parkRec{sem: make(chan struct{}, 1)}
-		for {
-			old := f.parked.Load()
-			r.next = old
-			if f.parked.CompareAndSwap(old, r) {
-				break
-			}
-		}
-		if !f.Blocked() {
-			// Cleared between push and re-check: the granter's sweep may
-			// or may not have caught our record. The claim/cancel CAS
-			// decides — if the granter claimed first, consume its send.
-			if r.state.CompareAndSwap(recWaiting, recCanceled) {
-				return
-			}
-			<-r.sem
-			return
-		}
-		pol.stats().Inc(obs.ParkPark, id)
-		tr.Emit(trace.KindPark, trace.PhaseNone, parkArgChan)
-		<-r.sem
-		pol.stats().Inc(obs.ParkUnpark, id)
-		tr.Emit(trace.KindUnpark, trace.PhaseNone, parkArgChan)
-	}
-}
-
-func (f *Flag) waitArray(pol *Policy, id int, tr *trace.Local) {
-	if hotSpin(func() bool { return !f.Blocked() }) {
-		return
-	}
-	k := f.word.Load() >> 1
-	arr := pol.Array()
-	if k == 0 || arr == nil {
-		atomicx.SpinUntil(func() bool { return !f.Blocked() })
-		return
-	}
-	pol.stats().Inc(obs.ParkArrayWait, id)
-	tr.Emit(trace.KindPark, trace.PhaseNone, parkArgArray)
+// arm pushes a fresh record and re-reads the flag. Seeing it cleared
+// between push and re-check, the granter's sweep may or may not have
+// caught the record; the claim/cancel CAS decides — if the granter
+// claimed first, its send is consumed here.
+func (f *Flag) arm() (chan struct{}, *parkRec) {
+	r := &parkRec{sem: make(chan struct{}, 1)}
 	for {
-		s0 := arr.load(k)
-		// Probe the real flag after reading the slot (promotion to
-		// direct spinning): if the grant already landed we exit without
-		// touching the array again; otherwise the granter's bump is
-		// still ahead of us and will change the slot.
-		if !f.Blocked() {
+		old := f.parked.Load()
+		r.next = old
+		if f.parked.CompareAndSwap(old, r) {
 			break
 		}
-		arr.waitChange(k, s0, func() bool { return !f.Blocked() })
 	}
-	tr.Emit(trace.KindUnpark, trace.PhaseNone, parkArgArray)
+	if f.Blocked() {
+		return r.sem, r
+	}
+	if !f.disarm(r) {
+		<-r.sem
+	}
+	return nil, nil
 }
 
-// Clear grants the waiters: lowers the flag, then wakes per pol —
-// sweep and signal the parked list (adaptive) or bump the node's array
-// slot (array). Exactly one goroutine clears a raised flag (the
-// predecessor handing over), which is what makes the plain
-// load-modify-store of the word safe, as it was for the PaddedBool.
-func (f *Flag) Clear(pol *Policy) {
-	w := f.word.Load()
-	f.word.Store(w &^ 1)
-	switch pol.Mode() {
-	case ModeAdaptive:
-		if f.parked.Load() == nil {
-			return // wake hint: nobody parked, grant stays one store
-		}
-		for r := f.parked.Swap(nil); r != nil; r = r.next {
-			if r.state.CompareAndSwap(recWaiting, recClaimed) {
-				r.sem <- struct{}{}
-			}
-		}
-	case ModeArray:
-		if arr := pol.Array(); arr != nil {
-			arr.bump(w >> 1)
+// disarm cancels the record so the sweep skips it; losing the CAS means
+// the granter claimed it and a send is in flight.
+func (f *Flag) disarm(r *parkRec) bool { return r.state.CompareAndSwap(recWaiting, recCanceled) }
+
+// Clear grants the waiters: lowers the flag, then sweeps the parked
+// list, sending to every record it claims. Exactly one goroutine clears
+// a raised flag (the predecessor handing over), as it was for the
+// PaddedBool.
+func (f *Flag) Clear() {
+	f.word.Store(0)
+	if f.parked.Load() == nil {
+		return // wake hint: nobody parked, grant stays one store
+	}
+	for r := f.parked.Swap(nil); r != nil; r = r.next {
+		if r.state.CompareAndSwap(recWaiting, recClaimed) {
+			r.sem <- struct{}{}
 		}
 	}
 }

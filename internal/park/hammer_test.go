@@ -22,7 +22,7 @@ func hammerRounds(t *testing.T) int {
 // TestWaiterHammer drives concurrent Wait/Signal rounds per policy,
 // with the signaler racing the waiter's descent down the ladder.
 func TestWaiterHammer(t *testing.T) {
-	for _, pol := range []*Policy{New(ModeAdaptive), New(ModeArray, WithArraySize(4))} {
+	for _, pol := range []*Policy{New(ModeAdaptive)} {
 		pol := pol
 		t.Run(pol.Mode().String(), func(t *testing.T) {
 			t.Parallel()
@@ -48,7 +48,7 @@ func TestWaiterHammer(t *testing.T) {
 							case 2:
 								time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
 							}
-							w.Signal(pol)
+							w.Signal()
 							close(done)
 						}()
 						w.Wait(pol, g, nil)
@@ -67,7 +67,7 @@ func TestWaiterHammer(t *testing.T) {
 // a random point in their descent. Every waiter must wake every round
 // (a single missed wake hangs the test).
 func TestFlagHammer(t *testing.T) {
-	for _, pol := range []*Policy{New(ModeAdaptive), New(ModeArray, WithArraySize(4))} {
+	for _, pol := range []*Policy{New(ModeAdaptive)} {
 		pol := pol
 		t.Run(pol.Mode().String(), func(t *testing.T) {
 			t.Parallel()
@@ -92,7 +92,7 @@ func TestFlagHammer(t *testing.T) {
 				case 2:
 					time.Sleep(time.Duration(rng.Intn(30)) * time.Microsecond)
 				}
-				f.Clear(pol)
+				f.Clear()
 				waitDone(t, &wg, "hammer flag waiters")
 			}
 		})

@@ -1,34 +1,30 @@
-// Package park is the pluggable waiting layer of the lock stack: one
-// policy object decides *how* every wait site in the module waits —
-// pure spinning (the paper's user-space discipline, §5.1), an adaptive
-// spin→yield→park ladder, or TWA-style waiting-array spinning — without
-// changing *what* the sites wait for.
+// Package park is the waiting layer of the lock stack: one policy
+// object decides *how* every wait site in the module waits — pure
+// spinning (the paper's user-space discipline, §5.1) or an adaptive
+// spin→yield→park ladder — without changing *what* the sites wait for.
 //
 // The paper's evaluation substitutes spin-based condition variables for
 // kernel sleep/wakeup because its thread counts never exceed the
 // hardware's (§5.1). That assumption breaks under oversubscription:
 // when goroutines vastly outnumber GOMAXPROCS, a spinning waiter burns
-// the very CPU the lock holder needs to make progress. This package
-// supplies the two standard escapes:
+// the very CPU the lock holder needs to make progress. The adaptive
+// mode (a Fissile-style composition) is the escape: a bounded hot spin
+// keeps the short-wait fast path identical to pure spinning, a
+// runtime.Gosched ladder keeps the scheduler moving, and a per-waiter
+// semaphore-style channel parks the goroutine outright when the wait
+// turns long. Releasers consult a wake hint (the waiter's state word /
+// the flag's parked-list head) so they only pay a channel send for
+// waiters that actually parked.
 //
-//   - Adaptive (Fissile-style composition): a bounded hot spin keeps
-//     the short-wait fast path identical to pure spinning, a
-//     runtime.Gosched ladder keeps the scheduler moving, and a
-//     per-waiter semaphore-style channel parks the goroutine outright
-//     when the wait turns long. Releasers consult a wake hint (the
-//     waiter's state word / the flag's parked-list head) so they only
-//     pay a channel send for waiters that actually parked.
-//
-//   - Array (TWA, Dice & Kogan 2018): long-term waiters spin on a
-//     private padded slot of a fixed hashed array instead of the shared
-//     grant word, so a grant invalidates one waiter's line instead of
-//     broadcasting to every spinner. Waiters re-probe the real flag
-//     (promotion to direct spinning) whenever their slot changes.
+// Every wait on a cell someone will signal — a Waiter, a Flag — is one
+// body, Policy.wait; the cells differ only in how a waiter publishes
+// itself as parked and withdraws (the parker pair). A wait's bound is
+// a Deadline, and the zero Deadline means "none" all the way down, so
+// the untimed entry points are the timed ones called with it.
 //
 // The discipline mirrors internal/obs and internal/trace: a nil
-// *Policy means "spin", every method nil-checks its receiver, and the
-// spin path of every primitive is byte-for-byte the pre-park behavior,
-// so locks built without WithWait pay one predictable branch and zero
+// *Policy means "spin", every method nil-checks its receiver, and
+// locks built without WithWait pay one predictable branch and zero
 // allocations.
 package park
 
@@ -52,18 +48,14 @@ const (
 	// ModeAdaptive escalates spin → yield → park on a per-waiter
 	// channel, with wake-hint tracking on the releaser side.
 	ModeAdaptive
-	// ModeArray moves long-term waiting onto a private slot of a fixed
-	// hashed waiting array (TWA); condition waits without a cooperating
-	// signaler degrade to the adaptive ladder.
-	ModeArray
 
 	numModes
 )
 
-var modeNames = [numModes]string{"spin", "adaptive", "array"}
+var modeNames = [numModes]string{"spin", "adaptive"}
 
-// String returns the mode's stable name ("spin", "adaptive", "array"),
-// used by the facade, benchmarks, and BENCH_bravo.json.
+// String returns the mode's stable name ("spin", "adaptive"), used by
+// the facade, benchmarks, and BENCH_bravo.json.
 func (m Mode) String() string {
 	if m < numModes {
 		return modeNames[m]
@@ -71,10 +63,10 @@ func (m Mode) String() string {
 	return "mode?"
 }
 
-// Ladder tuning. The hot-spin budget matches atomicx.SpinUntil's phase
-// 1, so a short wait costs the same under every mode; the yield budget
-// bounds how long an adaptive waiter politely polls before parking; the
-// sleep bounds cap the condition-wait ladder where no signaler exists.
+// Ladder tuning. The hot-spin budget is the same under both modes, so
+// a short wait costs the same either way; the yield budget bounds how
+// long an adaptive waiter politely polls before parking; the sleep
+// bounds cap the condition-wait ladder where no signaler exists.
 //
 // The yield budget is the oversubscription knob. When goroutines are
 // scarce, yielding is nearly free and parking costs a wake, so the
@@ -91,11 +83,38 @@ const (
 	sleepMax           = 100 * time.Microsecond
 )
 
-// hotSpin runs the bounded hot-probe phase of a wait ladder, returning
-// true if probe succeeded. On a single processor the phase is skipped
-// outright: no other thread runs — and so none can signal — while this
-// one burns the only P, so the caller's entry probe already saw the
-// freshest state and the wait should go straight to the scheduler.
+// expiryStride: the spin rung checks the clock every this many probes.
+// A deadline is a bound, not a real-time guarantee; a probe is a
+// handful of nanoseconds and a clock read tens, so the stride keeps
+// timed spinning within noise of untimed.
+const expiryStride = 16
+
+// spin is the whole wait under ModeSpin: atomicx.SpinUntil's shape — a
+// short hot spin, cheap when the hand-off is already in progress, then
+// a yield between probes so a descheduled holder (or GOMAXPROCS=1)
+// gets the processor — plus the strided look at the deadline. It
+// returns false if dl expired before probe held.
+func spin(probe func() bool, dl Deadline) bool {
+	for i := 1; ; i++ {
+		if probe() {
+			return true
+		}
+		if i%expiryStride == 0 && dl.Expired() {
+			return false
+		}
+		if i <= hotSpinBudget {
+			atomicx.ProcYield()
+		} else {
+			runtime.Gosched()
+		}
+	}
+}
+
+// hotSpin runs the bounded hot-probe phase of the adaptive ladder,
+// returning true if probe succeeded. On a single processor the phase
+// is skipped outright: no other thread runs — and so none can signal —
+// while this one burns the only P, so the wait should go straight to
+// the scheduler.
 func hotSpin(probe func() bool) bool {
 	if runtime.GOMAXPROCS(0) == 1 {
 		return false
@@ -122,12 +141,11 @@ func yieldsFor() int {
 }
 
 // Policy is one lock's waiting strategy plus its instrumentation. A nil
-// *Policy is valid and means ModeSpin with no counters — the exact
-// pre-park behavior of every wait site. Create with New.
+// *Policy is valid and means ModeSpin with no counters — the paper's
+// behavior at every wait site. Create with New.
 type Policy struct {
 	mode Mode
 	st   *obs.Stats
-	arr  *WaitingArray
 }
 
 // Option configures New.
@@ -136,19 +154,11 @@ type Option func(*Policy)
 // WithStats attaches an obs block; the park.* counters land there.
 func WithStats(st *obs.Stats) Option { return func(p *Policy) { p.st = st } }
 
-// WithArraySize sets the waiting array's slot count (rounded up to a
-// power of two; only meaningful for ModeArray). Default 128.
-func WithArraySize(n int) Option { return func(p *Policy) { p.arr = NewWaitingArray(n) } }
-
-// New returns a policy for the given mode. ModeArray allocates the
-// waiting array up front so the wait path never does.
+// New returns a policy for the given mode.
 func New(m Mode, opts ...Option) *Policy {
 	p := &Policy{mode: m}
 	for _, o := range opts {
 		o(p)
-	}
-	if p.mode == ModeArray && p.arr == nil {
-		p.arr = NewWaitingArray(0)
 	}
 	return p
 }
@@ -161,20 +171,111 @@ func (p *Policy) Mode() Mode {
 	return p.mode
 }
 
-// Array returns the policy's waiting array (nil unless ModeArray).
-func (p *Policy) Array() *WaitingArray {
-	if p == nil {
-		return nil
-	}
-	return p.arr
-}
-
 // stats returns the policy's obs block, nil-safe.
 func (p *Policy) stats() *obs.Stats {
 	if p == nil {
 		return nil
 	}
 	return p.st
+}
+
+// expired counts one abandoned wait and is its result.
+func (p *Policy) expired(id int) bool {
+	p.stats().Inc(obs.ParkTimeout, id)
+	return false
+}
+
+// Park event args: which mechanism a park/unpark pair used. 1 is
+// retired, not reused: recorded traces keep their meaning.
+const (
+	parkArgChan  = 0 // channel park (true deschedule)
+	parkArgSleep = 2 // timed-sleep ladder (condition wait)
+)
+
+// parked and unparked bracket every park span, so each one is counted,
+// traced and — what the park-storm rule quotes as evidence — observed
+// in the park.wait histogram exactly once. The clock is read only with
+// a stats block attached.
+func (p *Policy) parked(id int, tr *trace.Local, how uint64) (t0 time.Time) {
+	p.stats().Inc(obs.ParkPark, id)
+	tr.Emit(trace.KindPark, trace.PhaseNone, how)
+	if p.stats().Enabled() {
+		t0 = time.Now()
+	}
+	return t0
+}
+
+func (p *Policy) unparked(id int, tr *trace.Local, how uint64, t0 time.Time) {
+	if st := p.stats(); st.Enabled() {
+		st.Observe(obs.ParkWait, id, time.Since(t0).Nanoseconds())
+	}
+	p.stats().Inc(obs.ParkUnpark, id)
+	tr.Emit(trace.KindUnpark, trace.PhaseNone, how)
+}
+
+// parker is what differs between the cells a signalled wait can park
+// on: the claim/cancel CAS pair each cell already owns.
+type parker interface {
+	// arm publishes the caller as parked and returns the channel its
+	// grant will be sent on, with the record disarm needs to find it
+	// again (nil for a cell that is its own record). A nil channel
+	// means the grant got to the cell first: the wait is over.
+	arm() (sem chan struct{}, rec *parkRec)
+	// disarm withdraws an armed park whose deadline fired. Exactly one
+	// side wins the cell: true forbids the granter from ever sending
+	// for this round (a clean timeout, the cell re-armed); false means
+	// it had already committed a send, which the caller must consume.
+	disarm(rec *parkRec) bool
+}
+
+// wait is the one body of every signalled wait: it returns true once
+// probe holds and false if dl expired first — never both, never
+// neither. Under ModeSpin it is the spin rung and nothing else; under
+// ModeAdaptive, hot spin → yields → park on pk.
+//
+// The hard part is the park rung: a waiter that times out while a
+// grant's channel send is in flight must not strand the token (the
+// next wait on the same cell would consume a stale grant) and must not
+// miss the grant (the classic lost wakeup). disarm's CAS decides which
+// happened. A timeout therefore leaves the cell re-armed: the caller
+// can wait again on it, which the lock-layer cancellation protocols
+// rely on when they lose the abandonment race and must wait out the
+// in-flight grant.
+func (p *Policy) wait(id int, tr *trace.Local, dl Deadline, probe func() bool, pk parker) bool {
+	if p.Mode() != ModeAdaptive {
+		return spin(probe, dl) || p.expired(id)
+	}
+	if hotSpin(probe) {
+		return true
+	}
+	p.stats().Inc(obs.ParkYield, id)
+	for i, n := 0, yieldsFor(); i < n; i++ {
+		if probe() {
+			return true
+		}
+		if dl.Expired() {
+			return p.expired(id)
+		}
+		runtime.Gosched()
+	}
+	for !probe() {
+		if dl.Expired() {
+			return p.expired(id)
+		}
+		sem, rec := pk.arm()
+		if sem == nil {
+			return true
+		}
+		t0 := p.parked(id, tr, parkArgChan)
+		if !dl.ParkTimeout(sem) {
+			if pk.disarm(rec) {
+				return p.expired(id)
+			}
+			<-sem
+		}
+		p.unparked(id, tr, parkArgChan, t0)
+	}
+	return true
 }
 
 // Waiter state machine. idle -> signaled (fast grant) or
@@ -193,99 +294,47 @@ const (
 type Waiter struct {
 	_     atomicx.Pad
 	state atomic.Uint32
-	key   atomic.Uint32 // waiting-array slot key; 0 = unassigned
 	sem   chan struct{} // allocated at first park only
 	_     [atomicx.CacheLineSize - 16]byte
 }
 
 // Wait blocks until Signal, waiting per pol. id is the caller's proc id
 // (counter striping); tr receives park/unpark events and may be nil.
-func (w *Waiter) Wait(pol *Policy, id int, tr *trace.Local) {
-	if w.state.Load() == wSignaled {
-		return
-	}
-	switch pol.Mode() {
-	case ModeAdaptive:
-		w.waitAdaptive(pol, id, tr)
-	case ModeArray:
-		w.waitArray(pol, id, tr)
-	default:
-		atomicx.SpinUntil(func() bool { return w.state.Load() == wSignaled })
-	}
+func (w *Waiter) Wait(pol *Policy, id int, tr *trace.Local) { w.WaitUntil(pol, id, tr, Deadline{}) }
+
+// WaitUntil is Wait with a bound: it returns true once Signal has run
+// and false if dl expired first. A timed-out waiter is left re-armed
+// (state idle): after a false return the owner may Wait (or WaitUntil)
+// again on the same cell to claim a grant that is still on its way.
+func (w *Waiter) WaitUntil(pol *Policy, id int, tr *trace.Local, dl Deadline) bool {
+	return pol.wait(id, tr, dl, w.Signaled, w)
 }
 
-func (w *Waiter) waitAdaptive(pol *Policy, id int, tr *trace.Local) {
-	if hotSpin(func() bool { return w.state.Load() == wSignaled }) {
-		return
-	}
-	pol.stats().Inc(obs.ParkYield, id)
-	for i, n := 0, yieldsFor(); i < n; i++ {
-		if w.state.Load() == wSignaled {
-			return
-		}
-		runtime.Gosched()
-	}
+// arm claims the state word for a park, wIdle→wParked; losing the CAS
+// means Signal already ran. Publication of sem to the signaler rides
+// the CAS: Signal reads sem only after its Swap observes wParked.
+func (w *Waiter) arm() (chan struct{}, *parkRec) {
 	if w.sem == nil {
-		// Publication to the signaler rides the state CAS below: Signal
-		// reads sem only after its Swap observes wParked.
 		w.sem = make(chan struct{}, 1)
 	}
 	if !w.state.CompareAndSwap(wIdle, wParked) {
-		return // lost to Signal: already wSignaled
+		return nil, nil
 	}
-	pol.stats().Inc(obs.ParkPark, id)
-	tr.Emit(trace.KindPark, trace.PhaseNone, parkArgChan)
-	var t0 time.Time
-	if st := pol.stats(); st.Enabled() {
-		t0 = time.Now()
-	}
-	<-w.sem
-	if st := pol.stats(); st.Enabled() {
-		st.Observe(obs.ParkWait, id, time.Since(t0).Nanoseconds())
-	}
-	pol.stats().Inc(obs.ParkUnpark, id)
-	tr.Emit(trace.KindUnpark, trace.PhaseNone, parkArgChan)
+	return w.sem, nil
 }
 
-func (w *Waiter) waitArray(pol *Policy, id int, tr *trace.Local) {
-	if hotSpin(func() bool { return w.state.Load() == wSignaled }) {
-		return
-	}
-	// Assign the slot key before the next state probe: the seq-cst
-	// Dekker pair with Signal (which swaps state, then reads the key)
-	// guarantees the signaler either sees the key and bumps the slot,
-	// or we see wSignaled on the probe below.
-	k := w.key.Load()
-	if k == 0 {
-		k = newKey()
-		w.key.Store(k)
-	}
-	arr := pol.Array()
-	pol.stats().Inc(obs.ParkArrayWait, id)
-	tr.Emit(trace.KindPark, trace.PhaseNone, parkArgArray)
-	for {
-		s0 := arr.load(k)
-		if w.state.Load() == wSignaled {
-			break
-		}
-		arr.waitChange(k, s0, func() bool { return w.state.Load() == wSignaled })
-	}
-	tr.Emit(trace.KindUnpark, trace.PhaseNone, parkArgArray)
-}
+// disarm takes the word back, wParked→wIdle. Signal swaps the state
+// first and only sends when it observed wParked, so either this CAS
+// succeeds (Signal will see wIdle and not send) or it fails (a send is
+// committed).
+func (w *Waiter) disarm(*parkRec) bool { return w.state.CompareAndSwap(wParked, wIdle) }
 
 // Signal grants the waiter. The wake hint is the state word itself:
-// only a waiter observed in the parked state costs a channel send, and
-// only an assigned slot key costs an array bump — a spinning waiter's
-// grant is one store, exactly as before.
-func (w *Waiter) Signal(pol *Policy) {
+// only a waiter observed in the parked state costs a channel send — a
+// spinning waiter's grant is one swap.
+func (w *Waiter) Signal() {
 	if w.state.Swap(wSignaled) == wParked {
 		w.sem <- struct{}{}
-		return
-	}
-	if arr := pol.Array(); arr != nil {
-		if k := w.key.Load(); k != 0 {
-			arr.bump(k)
-		}
 	}
 }
 
@@ -296,59 +345,57 @@ func (w *Waiter) Signaled() bool { return w.state.Load() == wSignaled }
 // owning goroutine may call it, and only while no Wait is in flight.
 func (w *Waiter) Reset() { w.state.Store(wIdle) }
 
-// Park event args: which waiting mechanism the park/unpark pair used.
-const (
-	parkArgChan  = 0 // channel park (true deschedule)
-	parkArgArray = 1 // waiting-array slot spin
-	parkArgSleep = 2 // timed-sleep ladder (condition wait)
-)
-
 // WaitCond waits for cond to become true at a site with no cooperating
-// signaler to bump a slot or send on a channel (lockword CAS loops,
-// BRAVO revocation drains). Spin mode is exactly atomicx.SpinUntil;
-// adaptive and array modes escalate spin → yield → bounded timed sleep
-// (array has no signaler here either, so it shares the ladder).
+// signaler to send on a channel (lockword CAS loops, BRAVO revocation
+// drains).
 func WaitCond(pol *Policy, id int, tr *trace.Local, cond func() bool) {
-	if pol.Mode() == ModeSpin {
-		atomicx.SpinUntil(cond)
-		return
+	WaitCondUntil(pol, id, tr, cond, Deadline{})
+}
+
+// WaitCondUntil is WaitCond with a bound: true once cond holds, false
+// if dl expired first. Spin mode is the same rung a signalled wait
+// spins on; adaptive mode escalates spin → yield → bounded timed
+// sleeps, all the sleeps of one wait under one park span. There is no
+// signaler, so no token to validate: expiry checks simply join the
+// ladder.
+func WaitCondUntil(pol *Policy, id int, tr *trace.Local, cond func() bool, dl Deadline) bool {
+	if pol.Mode() != ModeAdaptive {
+		return spin(cond, dl) || pol.expired(id)
 	}
 	if hotSpin(cond) {
-		return
+		return true
 	}
 	pol.stats().Inc(obs.ParkYield, id)
 	for i, n := 0, yieldsFor(); i < n; i++ {
 		if cond() {
-			return
+			return true
+		}
+		if dl.Expired() {
+			return pol.expired(id)
 		}
 		runtime.Gosched()
 	}
-	pol.stats().Inc(obs.ParkPark, id)
-	tr.Emit(trace.KindPark, trace.PhaseNone, parkArgSleep)
-	var t0 time.Time
-	if st := pol.stats(); st.Enabled() {
-		t0 = time.Now()
-	}
+	t0 := pol.parked(id, tr, parkArgSleep)
 	d := sleepMin
 	for !cond() {
+		if dl.Expired() {
+			return pol.expired(id)
+		}
 		time.Sleep(d)
 		if d < sleepMax {
 			d *= 2
 		}
 	}
-	if st := pol.stats(); st.Enabled() {
-		st.Observe(obs.ParkWait, id, time.Since(t0).Nanoseconds())
-	}
-	pol.stats().Inc(obs.ParkUnpark, id)
-	tr.Emit(trace.KindUnpark, trace.PhaseNone, parkArgSleep)
+	pol.unparked(id, tr, parkArgSleep, t0)
+	return true
 }
 
 // Ladder is the policy-aware replacement for a stack-local
 // atomicx.Backoff in CAS retry loops: under a nil or spin policy Pause
-// is exactly Backoff.Pause; under adaptive/array it escalates to
-// yields and then bounded sleeps so retry storms cannot starve the
-// oversubscribed scheduler. A Ladder is a value, lives on the caller's
-// stack, and allocates nothing.
+// is exactly Backoff.Pause; under adaptive it escalates to yields and
+// then bounded sleeps so retry storms cannot starve the oversubscribed
+// scheduler. A Ladder is a value, lives on the caller's stack, and
+// allocates nothing.
 type Ladder struct {
 	pol    *Policy
 	b      atomicx.Backoff
@@ -393,18 +440,4 @@ func (l *Ladder) Reset() {
 	l.yields = 0
 	l.budget = 0
 	l.sleep = 0
-}
-
-// keyCounter mints waiting-array slot keys. Keys only need to be
-// nonzero and well-distributed after hashing; 31 bits of a global
-// counter is plenty (collisions are correctness-neutral: a shared slot
-// just wakes both waiters, who re-probe their own flags).
-var keyCounter atomic.Uint32
-
-func newKey() uint32 {
-	for {
-		if k := keyCounter.Add(1) & 0x7fffffff; k != 0 {
-			return k
-		}
-	}
 }

@@ -14,7 +14,6 @@ func policies(t *testing.T) map[string]*Policy {
 		"nil":      nil,
 		"spin":     New(ModeSpin),
 		"adaptive": New(ModeAdaptive),
-		"array":    New(ModeArray),
 	}
 }
 
@@ -31,7 +30,7 @@ func TestWaiterRoundTrip(t *testing.T) {
 					close(done)
 				}()
 				time.Sleep(time.Millisecond)
-				w.Signal(pol)
+				w.Signal()
 				select {
 				case <-done:
 				case <-time.After(5 * time.Second):
@@ -52,7 +51,7 @@ func TestWaiterSignalBeforeWait(t *testing.T) {
 	for name, pol := range policies(t) {
 		t.Run(name, func(t *testing.T) {
 			var w Waiter
-			w.Signal(pol)
+			w.Signal()
 			w.Wait(pol, 0, nil) // must not block
 		})
 	}
@@ -75,7 +74,7 @@ func TestWaiterAdaptiveParksAndCounts(t *testing.T) {
 	for w.state.Load() != wParked {
 		time.Sleep(100 * time.Microsecond)
 	}
-	w.Signal(pol)
+	w.Signal()
 	<-done
 	if st.Count(obs.ParkPark) != 1 || st.Count(obs.ParkUnpark) != 1 {
 		t.Fatalf("park/unpark = %d/%d, want 1/1",
@@ -104,7 +103,7 @@ func TestFlagRoundTrip(t *testing.T) {
 					}(i)
 				}
 				time.Sleep(time.Millisecond)
-				f.Clear(pol)
+				f.Clear()
 				waitDone(t, &wg, "flag waiters")
 				if f.Blocked() {
 					t.Fatal("flag still blocked after Clear")
@@ -129,8 +128,6 @@ func waitDone(t *testing.T, wg *sync.WaitGroup, what string) {
 // for the push-then-recheck protocol, hand-stepping both sides of the
 // claim/cancel race instead of hoping a hammer hits it.
 func TestFlagMissedWakeHandStepped(t *testing.T) {
-	pol := New(ModeAdaptive)
-
 	// Step A — granter claims: a record is on the list when Clear runs.
 	// Clear must claim it and leave exactly one token in its channel
 	// (the waiter, about to block, consumes it without deadlock).
@@ -138,7 +135,7 @@ func TestFlagMissedWakeHandStepped(t *testing.T) {
 	f.Set(true)
 	r := &parkRec{sem: make(chan struct{}, 1)}
 	f.parked.Store(r)
-	f.Clear(pol)
+	f.Clear()
 	if got := r.state.Load(); got != recClaimed {
 		t.Fatalf("record state = %d after Clear, want claimed(%d)", got, recClaimed)
 	}
@@ -153,14 +150,14 @@ func TestFlagMissedWakeHandStepped(t *testing.T) {
 	// generation's Clear must skip the canceled record and must not
 	// send on its channel.
 	f.Set(true)
-	f.Clear(pol) // generation ends with an empty list
+	f.Clear() // generation ends with an empty list
 	stale := &parkRec{sem: make(chan struct{}, 1)}
 	if !stale.state.CompareAndSwap(recWaiting, recCanceled) {
 		t.Fatal("cancel CAS failed on fresh record")
 	}
 	f.parked.Store(stale)
 	f.Set(true)
-	f.Clear(pol)
+	f.Clear()
 	select {
 	case <-stale.sem:
 		t.Fatal("Clear sent a wake to a canceled record")
@@ -212,55 +209,5 @@ func TestLadderSpinMatchesBackoff(t *testing.T) {
 	adaptive.Reset()
 	if adaptive.sleep != 0 || adaptive.yields != 0 {
 		t.Fatal("Reset did not restore the ladder's hot phase")
-	}
-}
-
-// TestWaitingArrayCollision pins collision behavior with a 1-slot
-// array: two waiters share the slot, so either's grant wakes both, but
-// only the granted one may return — the other must re-probe and keep
-// waiting.
-func TestWaitingArrayCollision(t *testing.T) {
-	pol := New(ModeArray, WithArraySize(1))
-	if pol.Array().Len() != 1 {
-		t.Fatalf("array len = %d, want 1", pol.Array().Len())
-	}
-	var w1, w2 Waiter
-	done1, done2 := make(chan struct{}), make(chan struct{})
-	go func() { w1.Wait(pol, 0, nil); close(done1) }()
-	go func() { w2.Wait(pol, 1, nil); close(done2) }()
-	time.Sleep(2 * time.Millisecond) // let both reach the array
-	w1.Signal(pol)
-	select {
-	case <-done1:
-	case <-time.After(10 * time.Second):
-		t.Fatal("granted waiter did not wake on slot bump")
-	}
-	select {
-	case <-done2:
-		t.Fatal("ungranted waiter returned on a colliding bump")
-	case <-time.After(5 * time.Millisecond):
-	}
-	w2.Signal(pol)
-	select {
-	case <-done2:
-	case <-time.After(10 * time.Second):
-		t.Fatal("second waiter did not wake")
-	}
-}
-
-// TestFlagKeyStableAcrossRecycle pins that a flag keeps its array slot
-// key across Set cycles (recycled FOLL/ROLL nodes must not churn
-// through the key space).
-func TestFlagKeyStableAcrossRecycle(t *testing.T) {
-	var f Flag
-	f.Set(true)
-	k1 := f.word.Load() >> 1
-	f.Clear(nil)
-	f.Set(true)
-	if k2 := f.word.Load() >> 1; k2 != k1 {
-		t.Fatalf("flag key changed across recycle: %d -> %d", k1, k2)
-	}
-	if k1 == 0 {
-		t.Fatal("Set did not assign a slot key")
 	}
 }

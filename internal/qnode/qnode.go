@@ -315,7 +315,7 @@ func (q *Queue) grant(n *Node, id int, tr *lockcore.TraceLocal) {
 			if n.QPrev.Load() != nil {
 				n.QPrev.Store(nil)
 			}
-			n.Flag.Clear(q.In.Wait)
+			n.Flag.Clear()
 			return
 		}
 		succ := n.QNext.Load()

@@ -109,7 +109,7 @@ func TestCancelLosesToInFlightGrant(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	// Second half: the flag clear, then head's own cleanup.
-	w.Flag.Clear(nil)
+	w.Flag.Clear()
 	head.WNode.QNext.Store(nil)
 	if <-done {
 		t.Fatal("CancelWriteWait reported an acquisition")

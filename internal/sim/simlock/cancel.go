@@ -158,7 +158,7 @@ func (p *gollProc) RLockUntil(c *sim.Ctx, deadline int64) bool {
 			l.meta.unlock(c)
 			continue
 		}
-		l.q.enqueue(c, false, p.flag, p.slot)
+		l.q.enqueue(c, false, p.flag)
 		l.meta.unlock(c)
 		l.tr.emit(c, p.id, trace.KindQueueEnqueue, trace.PhaseNone, trace.RouteNone)
 		l.tr.emit(c, p.id, trace.KindPhaseBegin, trace.PhaseQueueWait, trace.RouteNone)
@@ -200,7 +200,7 @@ func (p *gollProc) LockUntil(c *sim.Ctx, deadline int64) bool {
 		return true
 	}
 	l.tr.emit(c, p.id, trace.KindIndClose, trace.PhaseNone, trace.RouteNone)
-	l.q.enqueue(c, true, p.flag, p.slot)
+	l.q.enqueue(c, true, p.flag)
 	l.meta.unlock(c)
 	l.tr.emit(c, p.id, trace.KindQueueEnqueue, trace.PhaseNone, trace.RouteNone)
 	l.tr.emit(c, p.id, trace.KindPhaseBegin, trace.PhaseQueueWait, trace.RouteNone)

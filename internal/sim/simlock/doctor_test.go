@@ -217,7 +217,7 @@ func TestSimDoctorBiasThrash(t *testing.T) {
 func TestSimDoctorParkStorm(t *testing.T) {
 	m := sim.New(sim.T5440())
 	l := simlock.NewGOLL(m, 8)
-	l.SetWaitPolicy(simlock.NewWaitPolicy(m, park.ModeAdaptive))
+	l.SetWaitPolicy(simlock.NewWaitPolicy(park.ModeAdaptive))
 	for i := 0; i < 8; i++ {
 		p := l.NewProc(i)
 		m.Spawn(func(c *sim.Ctx) {

@@ -16,7 +16,6 @@ type qNode struct {
 	isWriter bool
 	qNext    *sim.Word // node ref
 	spin     *sim.Word // 1 = waiting
-	slot     *sim.Word // waiting-array slot (array wait policy only)
 	// Reader-node fields.
 	cs         Indicator
 	allocState *sim.Word // 0 free, 1 in use
@@ -53,15 +52,11 @@ type FOLL struct {
 func (l *FOLL) Stats() *obs.Stats { return l.stats }
 
 // SetWaitPolicy attaches a wait policy mirroring ollock.WithWait:
-// queue-node waiters descend the policy's ladder (or poll
-// waiting-array slots keyed by node index) instead of spinning on the
-// node's flag word. Host-side setup; call before NewProc.
+// queue-node waiters descend the policy's ladder instead of spinning
+// on the node's flag word. Host-side setup; call before NewProc.
 func (l *FOLL) SetWaitPolicy(p *WaitPolicy) {
 	l.pol = p
 	p.attach(l.stats)
-	for i, n := range l.nodes {
-		n.slot = p.slotFor(uint32(i) + 1)
-	}
 }
 
 // NewFOLL allocates a FOLL lock on m with a ring of maxProcs reader
@@ -129,7 +124,6 @@ func (l *FOLL) NewProc(id int) Proc {
 	if l.withPrev {
 		w.qPrev = l.m.NewWord(0)
 	}
-	w.slot = l.pol.slotFor(uint32(len(l.nodes)) + 1)
 	l.nodes = append(l.nodes, w)
 	p := &follProc{
 		l:           l,
@@ -212,7 +206,7 @@ func (p *follProc) RLock(c *sim.Ctx) {
 			if t.Arrived() {
 				p.departFrom = rNode
 				p.ticket = t
-				l.pol.waitUntil(c, l.stats, p.id, n.slot, n.spin, func(v uint64) bool { return v == 0 })
+				l.pol.wait(c, l.stats, p.id, n.spin, func(v uint64) bool { return v == 0 })
 				return
 			}
 			rNode = -1
@@ -228,7 +222,7 @@ func (p *follProc) RLock(c *sim.Ctx) {
 				}
 				p.departFrom = deref(tailRef)
 				p.ticket = t
-				l.pol.waitUntil(c, l.stats, p.id, tn.slot, tn.spin, func(v uint64) bool { return v == 0 })
+				l.pol.wait(c, l.stats, p.id, tn.spin, func(v uint64) bool { return v == 0 })
 				return
 			}
 		}
@@ -247,7 +241,6 @@ func (p *follProc) RUnlock(c *sim.Ctx) {
 		c.Store(succ.qPrev, 0)
 	}
 	c.Store(succ.spin, 0)
-	signalSlot(c, succ.slot)
 	c.Store(n.qNext, 0)
 	freeNode(c, n)
 	l.stats.Inc(l.evRecycle, p.id)
@@ -270,7 +263,7 @@ func (p *follProc) Lock(c *sim.Ctx) {
 	c.Store(w.spin, 1)
 	c.Store(pred.qNext, ref(p.wNodeIdx))
 	if pred.isWriter {
-		l.pol.waitUntil(c, l.stats, p.id, w.slot, w.spin, func(v uint64) bool { return v == 0 })
+		l.pol.wait(c, l.stats, p.id, w.spin, func(v uint64) bool { return v == 0 })
 		l.stats.Observe(l.histWrite, p.id, c.Now()-w0)
 		return
 	}
@@ -278,7 +271,7 @@ func (p *follProc) Lock(c *sim.Ctx) {
 	if l.withPrev {
 		// ROLL: defer closing until the group is activated, so arriving
 		// readers can keep joining it (reader preference).
-		l.pol.waitUntil(c, l.stats, p.id, pred.slot, pred.spin, func(v uint64) bool { return v == 0 })
+		l.pol.wait(c, l.stats, p.id, pred.spin, func(v uint64) bool { return v == 0 })
 		if pred.cs.Close(c) {
 			c.Store(w.qPrev, 0)
 			c.Store(pred.qNext, 0)
@@ -287,20 +280,20 @@ func (p *follProc) Lock(c *sim.Ctx) {
 			l.stats.Observe(l.histWrite, p.id, c.Now()-w0)
 			return
 		}
-		l.pol.waitUntil(c, l.stats, p.id, w.slot, w.spin, func(v uint64) bool { return v == 0 })
+		l.pol.wait(c, l.stats, p.id, w.spin, func(v uint64) bool { return v == 0 })
 		l.stats.Observe(l.histWrite, p.id, c.Now()-w0)
 		return
 	}
 	// FOLL: close immediately to stop further readers joining.
 	if pred.cs.Close(c) {
-		l.pol.waitUntil(c, l.stats, p.id, pred.slot, pred.spin, func(v uint64) bool { return v == 0 })
+		l.pol.wait(c, l.stats, p.id, pred.spin, func(v uint64) bool { return v == 0 })
 		c.Store(pred.qNext, 0)
 		freeNode(c, pred)
 		l.stats.Inc(l.evRecycle, p.id)
 		l.stats.Observe(l.histWrite, p.id, c.Now()-w0)
 		return
 	}
-	l.pol.waitUntil(c, l.stats, p.id, w.slot, w.spin, func(v uint64) bool { return v == 0 })
+	l.pol.wait(c, l.stats, p.id, w.spin, func(v uint64) bool { return v == 0 })
 	l.stats.Observe(l.histWrite, p.id, c.Now()-w0)
 }
 
@@ -312,13 +305,12 @@ func (p *follProc) Unlock(c *sim.Ctx) {
 		if c.CAS(l.tail, ref(p.wNodeIdx), 0) {
 			return
 		}
-		succRef = l.pol.waitCond(c, l.stats, p.id, w.qNext, func(v uint64) bool { return v != 0 })
+		succRef = l.pol.wait(c, l.stats, p.id, w.qNext, func(v uint64) bool { return v != 0 })
 	}
 	succ := l.nodes[deref(succRef)]
 	if l.withPrev {
 		c.Store(succ.qPrev, 0)
 	}
 	c.Store(succ.spin, 0)
-	signalSlot(c, succ.slot)
 	c.Store(w.qNext, 0)
 }

@@ -48,9 +48,8 @@ func (l *GOLL) Stats() *obs.Stats { return l.stats }
 func (l *GOLL) SetTracer(tr *SimTracer) { l.tr = tr }
 
 // SetWaitPolicy attaches a wait policy mirroring ollock.WithWait: queue
-// waiters descend the policy's ladder (or poll waiting-array slots)
-// instead of spinning on their flag word, and the park counter scope is
-// added to the stats block. Host-side setup; call before NewProc.
+// waiters descend the policy's ladder instead of spinning on their flag
+// word, and the park counter scope is added to the stats block. Host-side setup; call before NewProc.
 func (l *GOLL) SetWaitPolicy(p *WaitPolicy) {
 	l.pol = p
 	p.attach(l.stats)
@@ -60,13 +59,12 @@ type gollProc struct {
 	l      *GOLL
 	id     int
 	flag   *sim.Word
-	slot   *sim.Word
 	ticket Ticket
 }
 
 // NewProc returns the per-thread handle. Call during setup.
 func (l *GOLL) NewProc(id int) Proc {
-	return &gollProc{l: l, id: id, flag: l.m.NewWord(0), slot: l.pol.slotFor(uint32(id) + 1)}
+	return &gollProc{l: l, id: id, flag: l.m.NewWord(0)}
 }
 
 func (p *gollProc) RLock(c *sim.Ctx) {
@@ -84,12 +82,12 @@ func (p *gollProc) RLock(c *sim.Ctx) {
 			l.meta.unlock(c)
 			continue
 		}
-		l.q.enqueue(c, false, p.flag, p.slot)
+		l.q.enqueue(c, false, p.flag)
 		l.meta.unlock(c)
 		l.tr.emit(c, p.id, trace.KindQueueEnqueue, trace.PhaseNone, trace.RouteNone)
 		l.tr.emit(c, p.id, trace.KindPhaseBegin, trace.PhaseQueueWait, trace.RouteNone)
 		p.ticket = TicketDirect // releaser pre-arrives at the root for us
-		l.pol.waitUntil(c, l.stats, p.id, p.slot, p.flag, func(v uint64) bool { return v == 1 })
+		l.pol.wait(c, l.stats, p.id, p.flag, func(v uint64) bool { return v == 1 })
 		l.tr.emit(c, p.id, trace.KindReadAcquired, trace.PhaseNone, trace.RouteDirect)
 		return
 	}
@@ -132,11 +130,11 @@ func (p *gollProc) Lock(c *sim.Ctx) {
 		return
 	}
 	l.tr.emit(c, p.id, trace.KindIndClose, trace.PhaseNone, trace.RouteNone)
-	l.q.enqueue(c, true, p.flag, p.slot)
+	l.q.enqueue(c, true, p.flag)
 	l.meta.unlock(c)
 	l.tr.emit(c, p.id, trace.KindQueueEnqueue, trace.PhaseNone, trace.RouteNone)
 	l.tr.emit(c, p.id, trace.KindPhaseBegin, trace.PhaseQueueWait, trace.RouteNone)
-	l.pol.waitUntil(c, l.stats, p.id, p.slot, p.flag, func(v uint64) bool { return v == 1 })
+	l.pol.wait(c, l.stats, p.id, p.flag, func(v uint64) bool { return v == 1 })
 	l.tr.emit(c, p.id, trace.KindWriteAcquired, trace.PhaseNone, trace.RouteDirect)
 	l.stats.Observe(obs.GOLLWriteWait, p.id, c.Now()-w0)
 }

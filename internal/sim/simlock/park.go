@@ -8,12 +8,10 @@ import (
 
 // This file mirrors internal/park on the simulated machine. The
 // simulator's SpinUntil already models a waiting thread as blocked (it
-// charges a read per wake, not per probe), so the policies here do not
-// change who waits for what — they reproduce the *observable* behavior
-// of the real ladder: the park.* counters a real lock emits under a
-// non-spin policy, the scheduler cost a park/unpark round-trip pays,
-// and, in array mode, the private waiting-array slot words that take
-// coherence traffic off the shared grant word.
+// charges a read per wake, not per probe), so the policy here does not
+// change who waits for what — it reproduces the *observable* behavior
+// of the real ladder: the park.* counters a real lock emits under the
+// adaptive policy and the scheduler cost a park/unpark round-trip pays.
 
 // Scheduler cost model (cycles). A yield is a scheduler pass without a
 // context switch; park and unpark each pay a full switch, a few times
@@ -24,33 +22,16 @@ const (
 	simUnparkCost = 800
 )
 
-// simArraySlots is the simulated waiting-array size (the real default
-// is 128; the simulator rarely runs more than a few dozen threads).
-const simArraySlots = 64
-
 // WaitPolicy is the simulated wait policy, shared by every wait site of
 // one lock (mirrors the facade threading one *park.Policy through the
 // stack). A nil *WaitPolicy means pure spinning — the default, and
 // bit-identical to the pre-policy code.
 type WaitPolicy struct {
-	mode  park.Mode
-	slots []*sim.Word
-	mask  uint32
+	mode park.Mode
 }
 
-// NewWaitPolicy allocates a wait policy on m. Array mode allocates the
-// waiting-array slot words; the other modes need no simulated memory.
-func NewWaitPolicy(m *sim.Machine, mode park.Mode) *WaitPolicy {
-	p := &WaitPolicy{mode: mode}
-	if mode == park.ModeArray {
-		p.slots = make([]*sim.Word, simArraySlots)
-		for i := range p.slots {
-			p.slots[i] = m.NewWord(0)
-		}
-		p.mask = simArraySlots - 1
-	}
-	return p
-}
+// NewWaitPolicy returns a wait policy; no mode needs simulated memory.
+func NewWaitPolicy(mode park.Mode) *WaitPolicy { return &WaitPolicy{mode: mode} }
 
 // Mode returns the policy's mode; nil means park.ModeSpin.
 func (p *WaitPolicy) Mode() park.Mode {
@@ -65,69 +46,22 @@ func (p *WaitPolicy) Mode() park.Mode {
 // non-spin policy is selected (a spin policy emits no park events, so
 // the historical counter name set is preserved exactly).
 func (p *WaitPolicy) attach(st *obs.Stats) {
-	if p != nil && p.mode != park.ModeSpin {
+	if p.Mode() != park.ModeSpin {
 		st.AddScope("park")
 	}
 }
 
-// slotFor maps a waiter key to its waiting-array slot word (nil unless
-// array mode), with the same Fibonacci hash as the real array.
-func (p *WaitPolicy) slotFor(key uint32) *sim.Word {
-	if p == nil || p.mode != park.ModeArray {
-		return nil
-	}
-	return p.slots[(key*2654435761)&p.mask]
-}
-
-// waitUntil blocks until pred holds for w's value, waiting per the
-// policy, and returns the satisfying value. slot is the waiter's
-// waiting-array slot (nil outside array mode); a cooperating granter
-// must signalSlot it after its grant store.
-func (p *WaitPolicy) waitUntil(c *sim.Ctx, st *obs.Stats, id int, slot, w *sim.Word, pred func(uint64) bool) uint64 {
-	if p == nil || p.mode == park.ModeSpin {
+// wait blocks until pred holds for w's value, waiting per the policy,
+// and returns the satisfying value. As on the host there is one ladder
+// for every site: a wait a granter will signal and a condition wait
+// differ there only in what the park rung blocks on (a channel, a run
+// of bounded sleeps), which the discrete model does not distinguish.
+func (p *WaitPolicy) wait(c *sim.Ctx, st *obs.Stats, id int, w *sim.Word, pred func(uint64) bool) uint64 {
+	if p.Mode() == park.ModeSpin {
 		return c.SpinUntil(w, pred)
 	}
 	// The bounded hot spin: in the discrete model repeated fruitless
 	// probes of an unchanged word coalesce into one read.
-	if v := c.Load(w); pred(v) {
-		return v
-	}
-	if p.mode == park.ModeAdaptive {
-		st.Inc(obs.ParkYield, id)
-		c.Work(simYieldCost)
-		if v := c.Load(w); pred(v) {
-			return v
-		}
-		st.Inc(obs.ParkPark, id)
-		c.Work(simParkCost)
-		t0 := c.Now()
-		v := c.SpinUntil(w, pred)
-		st.Observe(obs.ParkWait, id, c.Now()-t0)
-		st.Inc(obs.ParkUnpark, id)
-		c.Work(simUnparkCost)
-		return v
-	}
-	// Array mode: poll the private slot, re-probing the grant word only
-	// when the slot is bumped. The slot must be read before the grant
-	// word (same ordering as the real waiter: a grant between the two
-	// reads is caught by the probe, a grant after it bumps the slot).
-	st.Inc(obs.ParkArrayWait, id)
-	for {
-		s0 := c.Load(slot)
-		if v := c.Load(w); pred(v) {
-			return v
-		}
-		c.SpinUntil(slot, func(v uint64) bool { return v != s0 })
-	}
-}
-
-// waitCond blocks until pred holds for w's value with no cooperating
-// signaler (mirrors park.WaitCond): array mode degrades to the
-// adaptive ladder, whose park step models the ladder's bounded sleeps.
-func (p *WaitPolicy) waitCond(c *sim.Ctx, st *obs.Stats, id int, w *sim.Word, pred func(uint64) bool) uint64 {
-	if p == nil || p.mode == park.ModeSpin {
-		return c.SpinUntil(w, pred)
-	}
 	if v := c.Load(w); pred(v) {
 		return v
 	}
@@ -144,13 +78,4 @@ func (p *WaitPolicy) waitCond(c *sim.Ctx, st *obs.Stats, id int, w *sim.Word, pr
 	st.Inc(obs.ParkUnpark, id)
 	c.Work(simUnparkCost)
 	return v
-}
-
-// signalSlot is the granter's array-mode wake: bump the waiter's slot
-// so its private poll re-probes the grant word. A nil slot (non-array
-// policy, or a waiter that never registered) costs nothing.
-func signalSlot(c *sim.Ctx, slot *sim.Word) {
-	if slot != nil {
-		c.Add(slot, 1)
-	}
 }

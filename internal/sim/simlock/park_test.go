@@ -13,7 +13,7 @@ import (
 // polLock is the setup shared by the wait-policy tests: a simulated
 // lock with a wait policy attached.
 func polLock(m *sim.Machine, kind string, mode park.Mode) simlock.Lock {
-	pol := simlock.NewWaitPolicy(m, mode)
+	pol := simlock.NewWaitPolicy(mode)
 	switch kind {
 	case "goll":
 		l := simlock.NewGOLL(m, 8)
@@ -64,39 +64,28 @@ func runContended(t *testing.T, kind string, mode park.Mode) ollock.Snapshot {
 // with ollock.WithWait of the same mode.
 func TestParkCounterNamesMatchRealLocks(t *testing.T) {
 	for _, kind := range []string{"goll", "foll", "roll"} {
-		for _, mode := range []struct {
-			real ollock.WaitMode
-			sim  park.Mode
-		}{
-			{ollock.WaitAdaptive, park.ModeAdaptive},
-			{ollock.WaitArray, park.ModeArray},
-		} {
-			t.Run(kind+"/"+string(mode.real), func(t *testing.T) {
-				real, err := ollock.New(ollock.Kind(kind), 4,
-					ollock.WithStats(""), ollock.WithWait(mode.real))
-				if err != nil {
-					t.Fatal(err)
-				}
-				realSnap, ok := ollock.SnapshotOf(real)
-				if !ok {
-					t.Fatalf("real %s lock has no stats", kind)
-				}
-				m := sim.New(sim.T5440())
-				st := simlock.StatsOf(polLock(m, kind, mode.sim))
-				if got, want := st.Snapshot().Names(), realSnap.Names(); !reflect.DeepEqual(got, want) {
-					t.Errorf("counter name sets differ:\n  sim:  %v\n  real: %v", got, want)
-				}
-			})
-		}
+		t.Run(kind+"/"+string(ollock.WaitAdaptive), func(t *testing.T) {
+			real, err := ollock.New(ollock.Kind(kind), 4,
+				ollock.WithStats(""), ollock.WithWait(ollock.WaitAdaptive))
+			if err != nil {
+				t.Fatal(err)
+			}
+			realSnap, ok := ollock.SnapshotOf(real)
+			if !ok {
+				t.Fatalf("real %s lock has no stats", kind)
+			}
+			m := sim.New(sim.T5440())
+			st := simlock.StatsOf(polLock(m, kind, park.ModeAdaptive))
+			if got, want := st.Snapshot().Names(), realSnap.Names(); !reflect.DeepEqual(got, want) {
+				t.Errorf("counter name sets differ:\n  sim:  %v\n  real: %v", got, want)
+			}
+		})
 	}
 }
 
-// TestParkPolicyCounters checks the policies' observable behavior under
-// contention: the adaptive mode must park (and unpark exactly as often
-// as it parks), the array mode must register slot waits, and neither
-// may change what the lock computes (the spin-mode counter set for the
-// lock's own events stays identical — waiting is not part of the
-// algorithm).
+// TestParkPolicyCounters checks the adaptive policy's observable
+// behavior under contention: it must park, unpark exactly as often as
+// it parks, and yield before parking.
 func TestParkPolicyCounters(t *testing.T) {
 	for _, kind := range []string{"goll", "foll", "roll"} {
 		t.Run(kind, func(t *testing.T) {
@@ -109,16 +98,6 @@ func TestParkPolicyCounters(t *testing.T) {
 			}
 			if y, p := adaptive.Counters["park.yield"], adaptive.Counters["park.park"]; y < p {
 				t.Errorf("park.yield=%d < park.park=%d; the ladder yields before parking", y, p)
-			}
-			array := runContended(t, kind, park.ModeArray)
-			if array.Counters["park.array.wait"] == 0 {
-				t.Errorf("array run registered 0 slot waits")
-			}
-			if array.Counters["park.park"] != 0 && kind != "foll" {
-				// Only FOLL has a no-signaler condition wait (the
-				// tail-CAS/qNext race), which legitimately degrades to the
-				// parking ladder under array mode.
-				t.Errorf("array run parked %d times; grant waits must use slots", array.Counters["park.park"])
 			}
 		})
 	}

@@ -82,7 +82,7 @@ func (p *rollProc) tryJoinWaiting(c *sim.Ctx, idx int) bool {
 	}
 	p.fp.departFrom = idx
 	p.fp.ticket = t
-	p.l.f.pol.waitUntil(c, p.l.f.stats, p.fp.id, n.slot, n.spin, func(v uint64) bool { return v == 0 })
+	p.l.f.pol.wait(c, p.l.f.stats, p.fp.id, n.spin, func(v uint64) bool { return v == 0 })
 	return true
 }
 
@@ -145,7 +145,7 @@ func (p *rollProc) RLock(c *sim.Ctx) {
 				if p.l.useHint && c.Load(tn.spin) == 1 && c.Load(p.l.lastReader) != tailRef {
 					c.Store(p.l.lastReader, tailRef)
 				}
-				f.pol.waitUntil(c, f.stats, p.fp.id, tn.slot, tn.spin, func(v uint64) bool { return v == 0 })
+				f.pol.wait(c, f.stats, p.fp.id, tn.spin, func(v uint64) bool { return v == 0 })
 				return
 			}
 
@@ -191,7 +191,7 @@ func (p *rollProc) RLock(c *sim.Ctx) {
 				if p.l.useHint {
 					c.Store(p.l.lastReader, ref(rNode))
 				}
-				f.pol.waitUntil(c, f.stats, p.fp.id, n.slot, n.spin, func(v uint64) bool { return v == 0 })
+				f.pol.wait(c, f.stats, p.fp.id, n.spin, func(v uint64) bool { return v == 0 })
 				return
 			}
 			rNode = -1

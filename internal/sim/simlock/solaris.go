@@ -60,7 +60,7 @@ func (p *solarisProc) RLock(c *sim.Ctx) {
 			l.meta.unlock(c)
 			continue
 		}
-		l.q.enqueue(c, false, p.flag, nil)
+		l.q.enqueue(c, false, p.flag)
 		l.meta.unlock(c)
 		c.SpinUntil(p.flag, func(v uint64) bool { return v == 1 })
 		return
@@ -88,7 +88,7 @@ func (p *solarisProc) Lock(c *sim.Ctx) {
 			l.meta.unlock(c)
 			continue
 		}
-		l.q.enqueue(c, true, p.flag, nil)
+		l.q.enqueue(c, true, p.flag)
 		l.meta.unlock(c)
 		c.SpinUntil(p.flag, func(v uint64) bool { return v == 1 })
 		return

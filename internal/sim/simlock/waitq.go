@@ -40,13 +40,11 @@ func (mx simMutex) unlock(c *sim.Ctx) {
 	c.Store(mx.w, 0)
 }
 
-// waitEntry is one queued thread: its intention, the flag word it
-// parks on, and (array wait policy only) the waiting-array slot the
-// granter bumps alongside the flag store.
+// waitEntry is one queued thread: its intention and the flag word it
+// parks on.
 type waitEntry struct {
 	writer bool
 	flag   *sim.Word
-	slot   *sim.Word
 }
 
 // simWaitQueue is the mutex-protected wait queue. The queue's link
@@ -64,9 +62,9 @@ const queueOpCost = 5
 // enqueue publishes flag to releasers. Until then the word is private
 // to its proc, so callers reset it (a line a remote releaser wrote
 // last) before taking the metalock, not inside the section.
-func (q *simWaitQueue) enqueue(c *sim.Ctx, writer bool, flag, slot *sim.Word) {
+func (q *simWaitQueue) enqueue(c *sim.Ctx, writer bool, flag *sim.Word) {
 	c.Work(queueOpCost)
-	q.entries = append(q.entries, waitEntry{writer: writer, flag: flag, slot: slot})
+	q.entries = append(q.entries, waitEntry{writer: writer, flag: flag})
 	if writer {
 		q.numWriters++
 	}
@@ -124,11 +122,9 @@ func (q *simWaitQueue) dequeueHandoff(c *sim.Ctx, releaserWriter bool) (batch []
 	return takeReaders(), false
 }
 
-// signal wakes every entry in the batch (one flag-word store each,
-// plus a slot bump for array-policy waiters).
+// signal wakes every entry in the batch (one flag-word store each).
 func signalBatch(c *sim.Ctx, batch []waitEntry) {
 	for _, e := range batch {
 		c.Store(e.flag, 1)
-		signalSlot(c, e.slot)
 	}
 }

@@ -55,7 +55,7 @@ func (m *Mutex) TryLock() bool {
 
 // LockWith acquires the mutex waiting per pol: a TryLock fast path,
 // then the policy's escalation ladder between probes. A nil policy
-// pauses exactly like Lock; an adaptive/array policy escalates to
+// pauses exactly like Lock; an adaptive policy escalates to
 // yields and bounded sleeps, so an oversubscribed queue mutex cannot
 // starve the holder of CPU.
 func (m *Mutex) LockWith(pol *park.Policy) {
@@ -89,9 +89,10 @@ func (m *Mutex) Unlock() {
 // A Waiter must be Reset before reuse.
 //
 // The cell is backed by park.Waiter: the plain Wait/Signal methods keep
-// the paper's pure-spin behavior, and WaitWith/SignalWith route the
-// same hand-off through a wait policy (spin, adaptive park, or waiting
-// array) without changing the protocol.
+// the paper's pure-spin behavior, and WaitWith routes the same hand-off
+// through a wait policy (spin or adaptive park) without changing the
+// protocol; Signal wakes a waiter either way, paying a channel send
+// only for one that parked.
 type Waiter struct {
 	w park.Waiter
 }
@@ -119,13 +120,7 @@ func (w *Waiter) WaitUntil(pol *park.Policy, id int, tr *trace.Local, dl park.De
 // Signal releases the thread blocked in Wait (or lets a future Wait
 // return immediately).
 func (w *Waiter) Signal() {
-	w.w.Signal(nil)
-}
-
-// SignalWith is Signal under a wait policy: it additionally wakes a
-// parked waiter or bumps its waiting-array slot.
-func (w *Waiter) SignalWith(pol *park.Policy) {
-	w.w.Signal(pol)
+	w.w.Signal()
 }
 
 // Reset re-arms the Waiter for another Wait/Signal round. The caller

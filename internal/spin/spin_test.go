@@ -49,7 +49,7 @@ func TestMutexTryLock(t *testing.T) {
 // mode: exclusion must hold whether contenders pause by spinning,
 // yielding, or sleeping.
 func TestMutexLockWith(t *testing.T) {
-	for _, pol := range []*park.Policy{nil, park.New(park.ModeAdaptive), park.New(park.ModeArray)} {
+	for _, pol := range []*park.Policy{nil, park.New(park.ModeAdaptive)} {
 		pol := pol
 		t.Run(pol.Mode().String(), func(t *testing.T) {
 			var m Mutex

@@ -62,7 +62,7 @@ const (
 
 	KindStall // watchdog: waiter stuck past threshold; Arg = waited ns
 
-	KindPark   // waiter left the direct-spin path; Arg: 0 channel park, 1 array slot, 2 sleep ladder
+	KindPark   // waiter left the direct-spin path; Arg: 0 channel park, 2 sleep ladder (1 is retired)
 	KindUnpark // parked waiter woken by a grant; Arg mirrors the KindPark mechanism
 
 	KindCancel // acquisition abandoned; Arg: 0 timeout (duration/time bound), 1 cancel (context-driven bound)

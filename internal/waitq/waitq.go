@@ -51,8 +51,7 @@ type Entry struct {
 func (e *Entry) Wait() { e.w.Wait() }
 
 // WaitWith is Wait under a wait policy: the blocked thread descends the
-// policy's spin→yield→park ladder (or moves onto its waiting-array
-// slot) instead of spinning unconditionally. id is the caller's proc id
+// policy's spin→yield→park ladder instead of spinning unconditionally. id is the caller's proc id
 // and tr (nil ok) receives park/unpark trace events.
 func (e *Entry) WaitWith(pol *park.Policy, id int, tr *trace.Local) {
 	e.w.WaitWith(pol, id, tr)
@@ -161,20 +160,12 @@ type Batch struct {
 func (b *Batch) Count() int { return len(b.entries) }
 
 // Signal wakes every thread in the batch. Call it after releasing the
-// queue mutex, as the paper's pseudocode does.
+// queue mutex, as the paper's pseudocode does. The wake hint lives in
+// the waiter itself: an entry that parked costs a channel send, one
+// that never left the spin phase one swap.
 func (b *Batch) Signal() {
 	for _, e := range b.entries {
 		e.w.Signal()
-	}
-}
-
-// SignalWith is Signal under a wait policy: each grant additionally
-// wakes a parked waiter or bumps its waiting-array slot. The wake hint
-// lives in the waiter itself, so entries that never left the spin phase
-// still cost one store each.
-func (b *Batch) SignalWith(pol *park.Policy) {
-	for _, e := range b.entries {
-		e.w.SignalWith(pol)
 	}
 }
 

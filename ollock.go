@@ -249,17 +249,10 @@ const (
 	// then parking on a per-waiter channel. Releasers only pay a wake-up
 	// when the waiter actually parked (a wake hint in the waiter).
 	WaitAdaptive WaitMode = "adaptive"
-	// WaitArray moves long-term waiters onto private padded slots of a
-	// fixed hashed waiting array (TWA-style, Dice & Kogan 2018):
-	// instead of every waiter polling the shared grant word, each polls
-	// its own slot — gently — and the releaser bumps exactly the slots
-	// it grants. Waits without a cooperating signaler degrade to the
-	// adaptive ladder.
-	WaitArray WaitMode = "array"
 )
 
 // WaitModes lists every available wait mode.
-func WaitModes() []WaitMode { return []WaitMode{WaitSpin, WaitAdaptive, WaitArray} }
+func WaitModes() []WaitMode { return []WaitMode{WaitSpin, WaitAdaptive} }
 
 // parkMode maps a WaitMode to its internal/park mode.
 func parkMode(m WaitMode) (park.Mode, error) {
@@ -268,8 +261,6 @@ func parkMode(m WaitMode) (park.Mode, error) {
 		return park.ModeSpin, nil
 	case WaitAdaptive:
 		return park.ModeAdaptive, nil
-	case WaitArray:
-		return park.ModeArray, nil
 	default:
 		return park.ModeSpin, fmt.Errorf("ollock: unknown wait mode %q", m)
 	}
@@ -326,11 +317,10 @@ func WithIndicator(k IndicatorKind) Option {
 // WithWait selects the wait policy for the created lock: what a blocked
 // goroutine does between starting to wait and being granted the lock.
 // The default, WaitSpin, is the paper's pure spinning (§5.1 eliminates
-// context switches by design); WaitAdaptive and WaitArray trade a
-// little hand-off latency for robustness when goroutines outnumber
-// GOMAXPROCS — see README.md for the measured crossover. Applies to the
-// OLL locks (GOLL, FOLL, ROLL, their BRAVO-wrapped variants) and
-// Central; the other baseline kinds keep their fixed waiting behavior
+// context switches by design); WaitAdaptive trades a little hand-off
+// latency for robustness when goroutines outnumber GOMAXPROCS — see
+// README.md for the measured crossover. Applies to the OLL locks
+// (GOLL, FOLL, ROLL, their BRAVO-wrapped variants) and Central; the other baseline kinds keep their fixed waiting behavior
 // and New returns an error if a non-default mode is requested for one.
 // Composes with WithStats (park.* counters), WithBias (revocation drain
 // waits descend the ladder), WithIndicator (sharded gate waits ride the
@@ -379,10 +369,9 @@ type chaosCarrier interface {
 // nothing for the machinery beyond one predictable nil-check branch
 // per event site.
 //
-// If name is non-empty the block is also published through expvar
-// under "ollock.<name>" (re-using a name replaces the previous
-// block); an empty name defaults to the kind string and skips the
-// expvar registration.
+// name labels the block wherever it is rendered — Snapshot.Name, the
+// /debug/ollock JSON, the Prometheus exposition's lock label (see
+// WithMetrics) — and defaults to the kind string when empty.
 func WithStats(name string) Option {
 	return func(c *newConfig) {
 		c.withStats = true
@@ -484,9 +473,8 @@ func New(kind Kind, maxProcs int, opts ...Option) (Lock, error) {
 	}
 	// One policy is shared by every wait site in the stack — queue
 	// waiters, queue-mutex contenders, indicator gates, and (under
-	// WithBias) revocation drains — so park.* counters and the waiting
-	// array aggregate across layers the way one lock's waiters actually
-	// interleave.
+	// WithBias) revocation drains — so park.* counters aggregate across
+	// layers the way one lock's waiters actually interleave.
 	var pol *park.Policy
 	if parked {
 		pol = park.New(wmode, park.WithStats(st))
@@ -512,9 +500,6 @@ func New(kind Kind, maxProcs int, opts ...Option) (Lock, error) {
 		return nil, fmt.Errorf("ollock: lock kind %q has no registered constructor", kind)
 	}
 	base := build(maxProcs, buildArgs{st: st, lt: cfg.lt, pol: pol, lp: cfg.lp, ch: cfg.chaos, factory: factory})
-	if cfg.withStats && cfg.statsName != "" {
-		st.PublishExpvar()
-	}
 	if cfg.metrics != nil {
 		cfg.metrics.reg.Register(st)
 	}

@@ -247,9 +247,8 @@ func TestTraceReadOverheadBounded(t *testing.T) {
 
 // TestWaitPathZeroAllocs pins the wait-policy side of the
 // zero-overhead-off contract: the spin policy is the legacy code path
-// and must stay allocation-free, and the adaptive/array policies only
-// pay their allocations (the park channel, the array slot key) when a
-// wait actually escalates — an uncontended acquisition never gets
+// and must stay allocation-free, and the adaptive policy only pays its
+// allocation (the park channel) when a wait actually escalates — an uncontended acquisition never gets
 // there, so it too must be 0 allocs/op in every mode.
 func TestWaitPathZeroAllocs(t *testing.T) {
 	for _, kind := range []ollock.Kind{ollock.GOLL, ollock.FOLL, ollock.ROLL} {

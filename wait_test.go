@@ -1,7 +1,9 @@
 package ollock_test
 
 import (
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +19,7 @@ var waitKinds = []ollock.Kind{
 
 // TestWithWaitAllCombos drives every (kind, wait mode) pair through a
 // mixed read/write workload: the lock must stay correct whether waiters
-// spin, park on channels, or poll waiting-array slots.
+// spin or park on channels.
 func TestWithWaitAllCombos(t *testing.T) {
 	for _, kind := range waitKinds {
 		for _, mode := range ollock.WaitModes() {
@@ -59,8 +61,16 @@ func TestWithWaitAllCombos(t *testing.T) {
 }
 
 func TestWithWaitRejections(t *testing.T) {
-	if _, err := ollock.New(ollock.GOLL, 1, ollock.WithWait("no-such-mode")); err == nil {
-		t.Fatal("expected error for unknown wait mode")
+	// "array" was a mode once (DESIGN.md §3, the wait axis): it is an
+	// unknown name now, not an alias.
+	for _, mode := range []ollock.WaitMode{"no-such-mode", "array"} {
+		_, err := ollock.New(ollock.GOLL, 1, ollock.WithWait(mode))
+		if err == nil || !strings.Contains(err.Error(), "unknown wait mode") {
+			t.Fatalf("WithWait(%q): err = %v, want unknown wait mode", mode, err)
+		}
+	}
+	if got := ollock.WaitModes(); !reflect.DeepEqual(got, []ollock.WaitMode{ollock.WaitSpin, ollock.WaitAdaptive}) {
+		t.Fatalf("WaitModes() = %v, want [spin adaptive]", got)
 	}
 	if _, err := ollock.New(ollock.KSUH, 1, ollock.WithWait(ollock.WaitAdaptive)); err == nil {
 		t.Fatal("expected error for wait policy on a fixed-waiting kind")
@@ -75,7 +85,7 @@ func TestWithWaitRejections(t *testing.T) {
 // facade can build: BRAVO bias over an OLL lock over a sharded
 // indicator, all waiting through one shared policy.
 func TestWithWaitComposesWithIndicator(t *testing.T) {
-	for _, mode := range []ollock.WaitMode{ollock.WaitAdaptive, ollock.WaitArray} {
+	for _, mode := range []ollock.WaitMode{ollock.WaitAdaptive} {
 		mode := mode
 		t.Run(string(mode), func(t *testing.T) {
 			l, err := ollock.New(ollock.GOLL, 4,
@@ -152,6 +162,45 @@ func TestWithWaitParkCounters(t *testing.T) {
 		if len(name) >= 5 && name[:5] == "park." {
 			t.Fatalf("default spin lock exposes %s; park scope must be opt-in", name)
 		}
+	}
+}
+
+// TestParkWaitObservedPerUnpark pins what METRICS.md promises and the
+// doctor's park-storm rule quotes as evidence: every park that ends in
+// a wake feeds the park.wait histogram exactly once, whichever cell the
+// waiter parked on — a GOLL queue entry (park.Waiter) or a FOLL/ROLL
+// node flag (park.Flag). Six writers whose critical section outlasts
+// the yield budget make the parks certain.
+func TestParkWaitObservedPerUnpark(t *testing.T) {
+	for _, kind := range []ollock.Kind{ollock.GOLL, ollock.FOLL, ollock.ROLL} {
+		kind := kind
+		t.Run(string(kind), func(t *testing.T) {
+			t.Parallel()
+			const writers, iters = 6, 60
+			l := ollock.MustNew(kind, writers, ollock.WithWait(ollock.WaitAdaptive), ollock.WithStats(""))
+			var wg sync.WaitGroup
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					p := l.NewProc()
+					for i := 0; i < iters; i++ {
+						p.Lock()
+						time.Sleep(20 * time.Microsecond)
+						p.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			sn, _ := ollock.SnapshotOf(l)
+			unparks := sn.Counters["park.unpark"]
+			if unparks == 0 {
+				t.Fatal("contended run never parked; the check below would be vacuous")
+			}
+			if got := sn.Hists["park.wait"].Count; got != unparks {
+				t.Fatalf("park.wait count = %d, park.unpark = %d; every wake must be observed once", got, unparks)
+			}
+		})
 	}
 }
 
