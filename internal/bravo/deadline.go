@@ -124,10 +124,7 @@ func (p *Proc) TryLock() bool {
 // the deadline costs a clock read, which a biased fast-path read — the
 // whole point of the wrapper — should never pay.
 func (p *Proc) RLockFor(d time.Duration) bool {
-	if p.TryRLock() {
-		return true
-	}
-	return p.RLockDeadline(lockcore.After(d))
+	return lockcore.AcquireFor(d, p.TryRLock, p.RLockDeadline)
 }
 
 // LockFor acquires for writing, giving up after d. No try-first here: a

@@ -3,7 +3,8 @@
 // holds nothing, so expiry is just leaving the retry loop — which is
 // what makes this lock the reference semantics for the timed variants
 // of the queue locks: same API, same return-value contract, none of
-// the hand-off subtlety.
+// the hand-off subtlety. The untimed RLock/Lock are these loops under
+// the zero deadline, which never expires.
 package central
 
 import (
@@ -16,56 +17,38 @@ import (
 // RLockDeadline acquires for reading, abandoning on expiry; it reports
 // whether the lock was acquired. A zero deadline never expires.
 func (l *RWLock) RLockDeadline(dl lockcore.Deadline) bool {
-	if l.word.Arrive() {
-		return true
-	}
 	ld := l.pol.Ladder()
-	for {
+	for !l.TryRLock() {
 		if dl.Expired() {
 			return false
 		}
 		ld.Pause()
-		if l.word.Arrive() {
-			return true
-		}
 	}
+	return true
 }
 
 // LockDeadline acquires for writing, abandoning on expiry; it reports
 // whether the lock was acquired.
 func (l *RWLock) LockDeadline(dl lockcore.Deadline) bool {
-	if l.word.CloseIfEmpty() {
-		return true
-	}
 	ld := l.pol.Ladder()
-	for {
+	for !l.TryLock() {
 		if dl.Expired() {
 			return false
 		}
 		ld.Pause()
-		if l.word.CloseIfEmpty() {
-			return true
-		}
 	}
+	return true
 }
 
-// RLockFor acquires for reading, giving up after d. The try-first shape
-// keeps the uncontended timed acquisition at untimed speed: anchoring
-// the deadline costs a clock read, which only a failed immediate
-// attempt — the one a non-positive d is owed anyway — has to pay.
+// RLockFor acquires for reading, giving up after d; an immediate
+// attempt comes first (see lockcore.AcquireFor).
 func (l *RWLock) RLockFor(d time.Duration) bool {
-	if l.word.Arrive() {
-		return true
-	}
-	return l.RLockDeadline(lockcore.After(d))
+	return lockcore.AcquireFor(d, l.TryRLock, l.RLockDeadline)
 }
 
 // LockFor acquires for writing, giving up after d.
 func (l *RWLock) LockFor(d time.Duration) bool {
-	if l.word.CloseIfEmpty() {
-		return true
-	}
-	return l.LockDeadline(lockcore.After(d))
+	return lockcore.AcquireFor(d, l.TryLock, l.LockDeadline)
 }
 
 // RLockCtx acquires for reading, abandoning when ctx is done. It

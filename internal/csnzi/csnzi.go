@@ -298,12 +298,18 @@ func (c *CSNZI) Depart(t Ticket) bool {
 }
 
 // leaf returns the leaf a tree ticket names; op names the caller for
-// the panic a failed ticket gets.
+// the panic a ticket this C-SNZI cannot have issued gets — a failed
+// one, or a tree ticket where there is no such leaf (a zero-leaf C-SNZI
+// never builds a tree, so every tree ticket is foreign to it).
 func (c *CSNZI) leaf(t Ticket, op string) *node {
 	if !t.Tree() {
 		panic("csnzi: " + op + " with failed ticket")
 	}
-	return &c.tree.Load().leaves[t.Index()]
+	tr := c.tree.Load()
+	if tr == nil || t.Index() >= len(tr.leaves) {
+		panic("csnzi: " + op + " with foreign ticket")
+	}
+	return &tr.leaves[t.Index()]
 }
 
 // Query returns whether the C-SNZI has a surplus and whether it is open.

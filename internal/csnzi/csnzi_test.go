@@ -287,6 +287,38 @@ func TestDepartFailedTicketPanics(t *testing.T) {
 	c.Depart(bad)
 }
 
+// TestForeignTicketPanicsByName: a tree ticket handed to a C-SNZI that
+// cannot have issued it — one that never built a tree (every zero-leaf
+// "central" indicator), or one with fewer leaves — gets the op-named
+// misuse panic, not a nil dereference or an index fault.
+func TestForeignTicketPanicsByName(t *testing.T) {
+	wide := New(WithLeaves(8), WithDirectRetries(0))
+	tk := wide.Arrive(7)
+	if !tk.Tree() {
+		t.Fatalf("tree-first arrival returned ticket %d", tk)
+	}
+	narrow := New(WithLeaves(2), WithDirectRetries(0))
+	narrow.Depart(narrow.Arrive(0)) // builds its two-leaf tree
+	for _, tc := range []struct {
+		name string
+		op   func()
+		want string
+	}{
+		{"Depart, no tree", func() { New(WithLeaves(0)).Depart(tk) }, "csnzi: Depart with foreign ticket"},
+		{"TradeToRoot, no tree", func() { New(WithLeaves(0)).TradeToRoot(tk) }, "csnzi: TradeToRoot with foreign ticket"},
+		{"Depart, out of range", func() { narrow.Depart(tk) }, "csnzi: Depart with foreign ticket"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.op()
+		}()
+	}
+}
+
 func TestLazyTreeAllocation(t *testing.T) {
 	c := New()
 	tk := c.Arrive(0)

@@ -104,15 +104,10 @@ func (p *Proc) SetPriority(priority int) { p.priority = priority }
 // Option configures the lock.
 type Option func(*RWLock)
 
-// WithCSNZI substitutes a custom-configured C-SNZI (tree width, fanout,
-// arrival policy) — used by the ablation benchmarks.
-func WithCSNZI(c *csnzi.CSNZI) Option {
-	return func(l *RWLock) { l.cs = rind.WrapCSNZI(c) }
-}
-
 // WithIndicator substitutes an arbitrary read indicator (see
 // internal/rind) for the default C-SNZI — the centralized-vs-tree
-// ablation as an architectural knob.
+// ablation as an architectural knob. A custom-configured *csnzi.CSNZI
+// (tree width, fanout, arrival policy) is an indicator as it stands.
 func WithIndicator(ind rind.Indicator) Option {
 	return func(l *RWLock) { l.cs = ind }
 }

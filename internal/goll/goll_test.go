@@ -170,7 +170,7 @@ func TestTryUpgradeFailsWithTwoReaders(t *testing.T) {
 
 func TestUpgradeWithTreeTicket(t *testing.T) {
 	// Force tree arrivals so the upgrade exercises TradeToRoot.
-	l := New(WithCSNZI(csnzi.New(csnzi.WithLeaves(4), csnzi.WithDirectRetries(0))))
+	l := New(WithIndicator(csnzi.New(csnzi.WithLeaves(4), csnzi.WithDirectRetries(0))))
 	p := l.NewProc()
 	p.RLock()
 	if !p.TryUpgrade() {

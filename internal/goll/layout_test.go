@@ -41,7 +41,8 @@ func TestProcLayout(t *testing.T) {
 	}
 }
 
-// TestRootResolution: the default indicator resolves, and with it an
+// TestRootResolution: the default indicator resolves, and so does the
+// central one — the same C-SNZI without its tree — and with either an
 // uninstrumented proc is bare; anything the lock cannot see through, or
 // must not bypass, does not.
 func TestRootResolution(t *testing.T) {
@@ -54,9 +55,13 @@ func TestRootResolution(t *testing.T) {
 	if l := New(WithIndicator(opaque{rind.NewCSNZI()})); l.root != nil || l.NewProc().bare {
 		t.Error("wrapped C-SNZI resolved: the wrapper's methods would be bypassed")
 	}
-	for _, ik := range indicatorsUnderTest[1:] {
-		if l := New(WithIndicator(ik.new())); l.root != nil {
-			t.Errorf("%s indicator resolved to a C-SNZI root", ik.name)
-		}
+	if l := New(WithIndicator(rind.NewCentral())); l.root == nil || !l.NewProc().bare {
+		t.Error("central indicator: not resolved, or uninstrumented proc not bare")
+	}
+	if l := New(WithIndicator(rind.NewCentral()), WithInstr(lockcore.Instr{Stats: obs.New()})); l.root == nil || l.NewProc().bare {
+		t.Error("instrumented central indicator: not resolved, or a proc with probes to feed is bare")
+	}
+	if l := New(WithIndicator(rind.NewSharded(4))); l.root != nil {
+		t.Error("sharded indicator resolved to a C-SNZI root")
 	}
 }

@@ -180,6 +180,16 @@ func AcquireCtx(ctx context.Context, acquire func(Deadline) bool) error {
 	return dl.Err()
 }
 
+// AcquireFor is the body of every try-first RLockFor/LockFor: one
+// immediate attempt, then acquire under a deadline d from now. The
+// shape keeps the uncontended timed acquisition at untimed speed:
+// anchoring the deadline costs a clock read, which only a failed
+// immediate attempt — the one a non-positive d is owed anyway — has to
+// pay.
+func AcquireFor(d time.Duration, try func() bool, acquire func(Deadline) bool) bool {
+	return try() || acquire(After(d))
+}
+
 // The algorithm packages call Flag.Blocked, Flag.Set and
 // Deadline.Expired on their fast paths through the aliases above,
 // without importing park. The compiler inlines a method across that

@@ -189,8 +189,9 @@ func eventShapes(evs []trace.Event) map[int32][]string {
 // TestInlineAndInterfaceRoutesAreOneProtocol runs the same script on
 // each lock built both ways and requires identical counters and
 // identical per-proc event sequences: under the default arrival
-// policy, where every conflict-free read takes the inline route, and
-// under WithDirectRetries(0), where every arrival the policy decides —
+// policy and on the zero-leaf central indicator, where every
+// conflict-free read takes the inline route, and under
+// WithDirectRetries(0), where every arrival the policy decides —
 // every join — is a tree arrival the inline route must leave alone. The
 // one root arrival left there is no decision: a FOLL or ROLL reader
 // that enqueues a group opens it with its own arrival inside
@@ -199,6 +200,7 @@ func eventShapes(evs []trace.Event) map[int32][]string {
 func TestInlineAndInterfaceRoutesAreOneProtocol(t *testing.T) {
 	policies := map[string][]csnzi.Option{
 		"root-first": nil,
+		"central":    {csnzi.WithLeaves(0)}, // rind.NewCentral: resolves, and has only the root
 		"tree-only":  {csnzi.WithLeaves(4), csnzi.WithDirectRetries(0)},
 	}
 	for _, kind := range []string{"goll", "foll", "roll"} {

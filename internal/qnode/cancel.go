@@ -165,7 +165,18 @@ func (p *Proc) TryLock() bool {
 	}
 	if tail != nil {
 		p.PI.Emit(lockcore.KindQueueEnqueue, 0, 1)
-		if tail.Flag.Blocked() || !tail.Ind.CloseIfEmpty() {
+		// The close goes inline on the resolved root, as in foll.lock and
+		// roll.lock — which inline theirs only because this package's
+		// export data carries the body it inlined here.
+		var closedEmpty bool
+		switch r := tail.Root; {
+		case tail.Flag.Blocked(): // a waiting group is not ours to close
+		case r != nil:
+			closedEmpty = r.CloseIfEmpty()
+		default:
+			closedEmpty = tail.Ind.CloseIfEmpty()
+		}
+		if !closedEmpty {
 			w.Flag.Set(true)
 			tail.QNext.Store(w)
 			p.WNode = NewWriterNode()

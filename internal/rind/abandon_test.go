@@ -63,6 +63,7 @@ func TestAbandonDrainExactlyOnce(t *testing.T) {
 			if len(handoff) != 0 {
 				t.Fatalf("%d surplus hand-off signals", len(handoff))
 			}
+			wantNoTree(t, name, ind)
 		})
 	}
 }
@@ -119,6 +120,7 @@ func TestAbandonMixedWithDepart(t *testing.T) {
 			if got := drains.Load(); got != expect {
 				t.Fatalf("observed %d drains, want %d", got, expect)
 			}
+			wantNoTree(t, name, ind)
 		})
 	}
 }

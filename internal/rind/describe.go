@@ -3,6 +3,7 @@ package rind
 import (
 	"fmt"
 
+	"ollock/internal/csnzi"
 	"ollock/internal/trace"
 )
 
@@ -24,22 +25,10 @@ func TraceRoute(t Ticket) trace.Route {
 // answer is advisory — words are read racily, exactly like Query.
 func Describe(ind Indicator) string {
 	switch x := ind.(type) {
-	case *instrumented:
-		return Describe(x.inner)
-	case *CSNZI:
-		return x.cs.Describe()
+	case *csnzi.CSNZI:
+		return x.Describe()
 	case *Sharded:
 		return x.DescribeGate()
-	case *Central:
-		nonzero, open := x.Query()
-		state := "OPEN"
-		if !open {
-			state = "CLOSED"
-		}
-		if x.w.HasWaiters() {
-			state += "+WAITERS"
-		}
-		return fmt.Sprintf("Central{state=%s count=%d nonzero=%v}", state, x.w.Count(), nonzero)
 	default:
 		nonzero, open := ind.Query()
 		return fmt.Sprintf("Indicator{open=%v nonzero=%v}", open, nonzero)

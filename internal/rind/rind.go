@@ -1,5 +1,6 @@
 // Package rind defines the closable read-indicator contract the OLL
-// locks are built on, and its three implementations.
+// locks are built on, and names its three indicators — which are two
+// implementations.
 //
 // The paper's core move is compositional: "take a reader-writer lock
 // and replace the central reader count with a C-SNZI". BRAVO (Dice &
@@ -7,13 +8,17 @@
 // design is largely a choice of *read indicator*: the mechanism through
 // which readers announce and retract their presence and writers block
 // new readers and detect the old ones draining. This package makes that
-// choice a first-class axis of the module:
+// choice a first-class axis of the module, along BRAVO's taxonomy
+// (central counter, SNZI, ingress/egress):
 //
 //   - CSNZI: the paper's closable scalable nonzero indicator tree
-//     (package csnzi) — the default, and the subject of the paper.
-//   - Central: a single CAS-able counter word (central.Lockword), the
-//     degenerate indicator the paper's introduction criticizes; kept as
-//     the ablation floor.
+//     (package csnzi) — the default, and the subject of the paper. A
+//     *csnzi.CSNZI is an Indicator as it stands; NewCSNZI returns one.
+//   - Central: a single CAS-able counter word, the degenerate indicator
+//     the paper's introduction criticizes; kept as the ablation floor.
+//     The first entry of the taxonomy is a special case of the second —
+//     a C-SNZI with no tree *is* that word — so Central is a
+//     constructor, csnzi.New(csnzi.WithLeaves(0)), not a type.
 //   - Sharded: cache-line-padded per-proc ingress/egress counter pairs
 //     behind a closable gate word, in the style of BRAVO's
 //     ingress-egress taxonomy — readers stripe across slots, writers
@@ -39,14 +44,14 @@
 //
 // Every indicator hands out the same Ticket, one pointer-free word: 0 a
 // failed arrival, Direct an arrival at the central word (C-SNZI root,
-// Central word, Sharded gate), 2+i distributed arrival point i (C-SNZI
-// leaf, Sharded slot). It goes back to the indicator that issued it,
+// Sharded gate), 2+i distributed arrival point i (C-SNZI leaf, Sharded
+// slot). It goes back to the indicator that issued it,
 // which alone knows what the index means.
 //
 // A lock holds its indicator as this interface and, resolved once at
-// construction by Root, as the C-SNZI behind the default adapter (nil
-// for everything else). Through the latter its read sites make the
-// conflict-free pair inline — csnzi.ArriveRoot and, for a Direct
+// construction by Root, as the C-SNZI it is (nil for Sharded and for
+// anything behind a wrapper). Through the latter its read sites make
+// the conflict-free pair inline — csnzi.ArriveRoot and, for a Direct
 // ticket, csnzi.DepartRoot — and fall into ArriveLocal/Depart here for
 // everything else. The inline arrival is the first iteration of
 // ArriveLocal that would have succeeded, counted by the lock under the
@@ -204,25 +209,51 @@ type Ticket = csnzi.Ticket
 // Direct is the ticket of an arrival at the central word.
 const Direct = csnzi.Direct
 
+// NewCSNZI returns an open C-SNZI with zero surplus — the default
+// indicator of every OLL lock. The C-SNZI is the Indicator: there is no
+// adapter between the two.
+func NewCSNZI(opts ...csnzi.Option) *csnzi.CSNZI { return csnzi.New(opts...) }
+
+// NewCentral returns an open centralized indicator with zero surplus:
+// the zero-leaf C-SNZI, one CAS-able word that every arrival and
+// departure hits, all of whose tickets are direct.
+func NewCentral() *csnzi.CSNZI { return csnzi.New(csnzi.WithLeaves(0)) }
+
+// Instrument attaches an obs.Stats block to an indicator before it is
+// shared between goroutines, returning ind. Both implementations count
+// their own events under the csnzi.* names, so snapshots compare across
+// indicators: root/gate arrivals are csnzi.arrive.root, leaf/slot
+// arrivals csnzi.arrive.tree, failures csnzi.arrive.fail, transitions
+// csnzi.close and csnzi.open (Sharded's retry loops emit no
+// csnzi.cas.retry; see ALGORITHMS.md). A nil block, or an indicator
+// from outside this module, is left as it is.
+func Instrument(ind Indicator, st *obs.Stats) Indicator {
+	if s, ok := ind.(interface{ SetStats(*obs.Stats) }); ok && st != nil {
+		s.SetStats(st)
+	}
+	return ind
+}
+
 // Root resolves an indicator, once, at lock construction, to the
 // C-SNZI whose root word the lock may then arrive at and depart from
 // inline (csnzi.ArriveRoot/DepartRoot) in place of a call through the
-// interface; st is the lock's stats block. It is non-nil only for the
-// default adapter, and then only when the inline pair is
-// indistinguishable from ArriveLocal/Depart: the arrival policy tries
-// the root first, and the counts the lock makes on the C-SNZI's behalf
-// (csnzi.arrive.root, through its procs' buffers) land in the block the
-// C-SNZI itself counts into. Central, Sharded and any indicator behind
-// a wrapper resolve to nil, and every call stays on the interface.
+// interface; st is the lock's stats block. It is non-nil only for a
+// C-SNZI — the default or the zero-leaf Central — and then only when
+// the inline pair is indistinguishable from ArriveLocal/Depart: the
+// arrival policy tries the root first, and the counts the lock makes on
+// the C-SNZI's behalf (csnzi.arrive.root, through its procs' buffers)
+// land in the block the C-SNZI itself counts into. Sharded and any
+// indicator behind a wrapper resolve to nil, and every call stays on
+// the interface.
 func Root(ind Indicator, st *obs.Stats) *csnzi.CSNZI {
-	if c, ok := ind.(*CSNZI); ok && c.cs.RootFirst(st) {
-		return c.cs
+	if c, ok := ind.(*csnzi.CSNZI); ok && c.RootFirst(st) {
+		return c
 	}
 	return nil
 }
 
-// CSNZIFactory returns a Factory producing C-SNZI-backed indicators
-// with the given configuration.
+// CSNZIFactory returns a Factory producing C-SNZI indicators with the
+// given configuration.
 func CSNZIFactory(opts ...csnzi.Option) Factory {
 	return func() Indicator { return NewCSNZI(opts...) }
 }

@@ -26,6 +26,19 @@ func implsUnderTest() map[string]Indicator {
 	}
 }
 
+// wantNoTree closes the central row of a contended case: central is the
+// zero-leaf C-SNZI, so however many CASes its arrivals lose it has
+// nowhere to divert them to and never allocates a tree.
+func wantNoTree(t *testing.T, name string, ind Indicator) {
+	t.Helper()
+	if name != "central" {
+		return
+	}
+	if c, ok := ind.(*csnzi.CSNZI); !ok || c.TreeAllocated() {
+		t.Fatalf("central indicator is %T with a tree allocated; want a leafless *csnzi.CSNZI", ind)
+	}
+}
+
 // model is the naive reference: a surplus, a closed flag, and the
 // outstanding tickets classified by directness (SoleDirect attributes
 // the surplus, so the model must track where each arrival landed —
@@ -200,8 +213,8 @@ func runTrace(t *testing.T, ind Indicator, rng *rand.Rand, steps int) {
 }
 
 // TestWaitersFlagContract is the contract table for the waiters flag,
-// one row per obligation, over every indicator bare and behind the
-// Instrument wrapper. Each row starts from a fresh open indicator.
+// one row per obligation, over every indicator bare and counting into
+// an Instrument block. Each row starts from a fresh open indicator.
 func TestWaitersFlagContract(t *testing.T) {
 	// holdClosedMarked leaves ind closed and marked with n direct
 	// arrivals outstanding.
@@ -597,9 +610,8 @@ func TestShardedUpgradeConcurrent(t *testing.T) {
 	}
 }
 
-// TestInstrumentCounters checks that the decorator emits the csnzi.*
-// names for the non-C-SNZI indicators, and that the C-SNZI adapter
-// routes the block into the tree itself.
+// TestInstrumentCounters checks that every indicator, handed a block by
+// Instrument, counts its own events under the csnzi.* names.
 func TestInstrumentCounters(t *testing.T) {
 	for _, name := range []string{"central", "sharded", "csnzi"} {
 		t.Run(name, func(t *testing.T) {
@@ -665,32 +677,39 @@ func TestShardedShards(t *testing.T) {
 }
 
 // TestRootResolvesOnlyWhatInlinesExactly: Root hands a lock the C-SNZI
-// behind the default adapter — and nothing else. A wrapper's methods
-// would be bypassed; Central and Sharded have no root word; a policy
-// that never tries the root first, or a C-SNZI counting into a block
-// other than the lock's, would make the inline arrival observable.
+// its indicator is — the default, or the zero-leaf Central, which has
+// nothing but the root to arrive at — and nothing else. A wrapper's
+// methods would be bypassed; Sharded has no root word; a policy that
+// never tries the root first, or a C-SNZI counting into a block other
+// than the lock's, would make the inline arrival observable.
 func TestRootResolvesOnlyWhatInlinesExactly(t *testing.T) {
 	type wrapped struct{ Indicator }
 	st := obs.New()
 	own := NewCSNZI()
-	counted := Instrument(NewCSNZI(), st)
+	counted := NewCSNZI()
+	Instrument(counted, st)
 	flat := NewCSNZI(csnzi.WithLeaves(0), csnzi.WithDirectRetries(0)) // nothing but the root to arrive at
+	central := NewCentral()
+	countedCentral := NewCentral()
+	Instrument(countedCentral, st)
 	for _, tc := range []struct {
 		name string
 		ind  Indicator
 		st   *obs.Stats
 		want *csnzi.CSNZI
 	}{
-		{"default", own, nil, own.Inner()},
-		{"default, lock's stats", counted, st, counted.(*CSNZI).Inner()},
+		{"default", own, nil, own},
+		{"default, lock's stats", counted, st, counted},
 		{"default, foreign stats", counted, nil, nil},
 		{"default, uncounted under a counting lock", own, st, nil},
-		{"no tree", flat, nil, flat.Inner()},
+		{"no tree", flat, nil, flat},
 		{"tree first", NewCSNZI(csnzi.WithDirectRetries(0)), nil, nil},
 		{"wrapped", wrapped{own}, nil, nil},
-		{"central", NewCentral(), nil, nil},
+		{"central", central, nil, central},
+		{"instrumented central", countedCentral, st, countedCentral},
+		{"instrumented central, foreign stats", countedCentral, obs.New(), nil},
 		{"sharded", NewSharded(2), nil, nil},
-		{"instrumented central", Instrument(NewCentral(), st), st, nil},
+		{"instrumented sharded", Instrument(NewSharded(2), st), st, nil},
 	} {
 		if got := Root(tc.ind, tc.st); got != tc.want {
 			t.Errorf("%s: Root = %p, want %p", tc.name, got, tc.want)

@@ -82,6 +82,10 @@ type Sharded struct {
 	// pol selects how gate waits and CAS retries pause (nil = the
 	// legacy backoff spin); see SetWaitPolicy.
 	pol *park.Policy
+	// stats is the optional instrumentation block (nil = off): gate and
+	// slot events are counted under the C-SNZI's csnzi.* names, per
+	// transition, so snapshots compare across indicators.
+	stats *obs.Stats
 }
 
 // shard is one ingress/egress pair, alone on its cache line (a proc's
@@ -135,6 +139,20 @@ func NewSharded(nshards int) *Sharded {
 // policy (the default) keeps the legacy exponential-backoff spin.
 func (s *Sharded) SetWaitPolicy(pol *park.Policy) { s.pol = pol }
 
+// SetStats attaches an instrumentation block (see Instrument). It must
+// be called before the indicator is shared between goroutines.
+func (s *Sharded) SetStats(st *obs.Stats) { s.stats = st }
+
+// count records one event into the caller's buffer when it has one,
+// else into the indicator's shared stats block.
+func (s *Sharded) count(lc *obs.Local, e obs.Event, id int) {
+	if lc != nil {
+		lc.Inc(e)
+		return
+	}
+	s.stats.Inc(e, id)
+}
+
 func (s *Sharded) slotIndex(id int) int {
 	// Unsigned reduction: -id would overflow for math.MinInt and leave
 	// the remainder negative.
@@ -144,13 +162,14 @@ func (s *Sharded) slotIndex(id int) int {
 // Arrive implements Indicator.
 func (s *Sharded) Arrive(id int) Ticket { return s.ArriveLocal(id, nil) }
 
-// ArriveLocal implements Indicator. The lc buffer is used only by the
-// Instrument wrapper; the raw indicator keeps no counters of its own.
-func (s *Sharded) ArriveLocal(id int, _ *obs.Local) Ticket {
+// ArriveLocal implements Indicator. Slot arrivals count as tree
+// arrivals: the slot array plays the tree's role.
+func (s *Sharded) ArriveLocal(id int, lc *obs.Local) Ticket {
 	ld := s.pol.Ladder()
 	for {
 		g := s.gate.Load()
 		if g&gateClosed != 0 {
+			s.count(lc, obs.CSNZIArriveFail, id)
 			return 0
 		}
 		if g&gatePending != 0 {
@@ -168,6 +187,7 @@ func (s *Sharded) ArriveLocal(id int, _ *obs.Local) Ticket {
 				break // sealed under us: re-read the gate
 			}
 			if sl.ingress.CompareAndSwap(x, x+1) {
+				s.count(lc, obs.CSNZIArriveTree, id)
 				return csnzi.TicketAt(idx)
 			}
 			ld.Pause()
@@ -300,31 +320,22 @@ func (s *Sharded) Query() (nonzero, open bool) {
 }
 
 // Close implements Indicator.
-func (s *Sharded) Close() bool {
-	_, acquired := s.closeReport(false)
-	return acquired
-}
+func (s *Sharded) Close() bool { return s.close(gateClosed) }
 
 // CloseAndMark implements Indicator. Emptiness is only known after the
 // closing CAS (the sum needs sealed slots), so a closer that acquires
 // outright leaves the flag it set behind, stale.
-func (s *Sharded) CloseAndMark() bool {
-	_, acquired := s.closeReport(true)
-	return acquired
-}
+func (s *Sharded) CloseAndMark() bool { return s.close(gateClosed | gateWaiters) }
 
-// closeReport is Close (mark false) and CloseAndMark (mark true) with
-// the transition/acquisition split the Instrument wrapper counts by.
-func (s *Sharded) closeReport(mark bool) (transitioned, acquired bool) {
-	var flags uint64 = gateClosed
-	if mark {
-		flags |= gateWaiters
-	}
+// close sets flags — the closed bit, with or without the waiters flag —
+// and reports whether the caller thereby acquired the indicator. Only
+// an open-to-closed transition counts as a csnzi.close, not a mark.
+func (s *Sharded) close(flags uint64) bool {
 	ld := s.pol.Ladder()
 	for {
 		g := s.gate.Load()
 		if g&flags == flags {
-			return false, false
+			return false
 		}
 		if g&gatePending != 0 {
 			ld.Pause() // wait out the probe / open-transition
@@ -335,13 +346,14 @@ func (s *Sharded) closeReport(mark bool) (transitioned, acquired bool) {
 			continue
 		}
 		if g&gateClosed != 0 {
-			return false, false // already closed: marked only
+			return false // already closed: marked only
 		}
+		s.stats.Inc(obs.CSNZIClose, 0)
 		s.sealed(g)
 		// Seal and try to claim the drain ourselves. Losing the race
 		// (or finding surplus) is fine: the last departer's own sum
 		// claims it then.
-		return true, s.tryDrain(g | flags)
+		return s.tryDrain(g | flags)
 	}
 }
 
@@ -375,6 +387,7 @@ func (s *Sharded) CloseIfEmpty() bool {
 		return false
 	}
 	if s.sumSealed() == 0 && s.gate.CompareAndSwap(g|gatePending, g|gateClosed|gateDrained) {
+		s.stats.Inc(obs.CSNZIClose, 0)
 		s.sealed(g)
 		return true // slots stay sealed while closed
 	}
@@ -410,6 +423,7 @@ func (s *Sharded) OpenIfNoWaiters() bool {
 	}
 	s.resetSlots()
 	s.gate.Store(epoch)
+	s.stats.Inc(obs.CSNZIOpen, 0)
 	return true
 }
 
@@ -431,6 +445,7 @@ func (s *Sharded) openWithArrivals(cnt int, close bool) {
 	if g&^(gateEpochMask|gateWaiters) != gateClosed|gateDrained {
 		panic(fmt.Sprintf("rind: Open on %s", s.describe(g)))
 	}
+	s.stats.Inc(obs.CSNZIOpen, 0)
 	epoch := g & gateEpochMask
 	w := uint64(cnt)
 	if close {

@@ -391,23 +391,15 @@ func (p *Proc) RLockDeadline(dl lockcore.Deadline) bool { return p.rlock(dl) }
 // whether the lock was acquired.
 func (p *Proc) LockDeadline(dl lockcore.Deadline) bool { return p.lock(dl) }
 
-// RLockFor acquires for reading, giving up after d. The try-first shape
-// keeps the uncontended timed acquisition at untimed speed: anchoring
-// the deadline costs a clock read, which only a failed immediate
-// attempt — the one a non-positive d is owed anyway — has to pay.
+// RLockFor acquires for reading, giving up after d; an immediate
+// attempt comes first (see lockcore.AcquireFor).
 func (p *Proc) RLockFor(d time.Duration) bool {
-	if p.TryRLock() {
-		return true
-	}
-	return p.rlock(lockcore.After(d))
+	return lockcore.AcquireFor(d, p.TryRLock, p.rlock)
 }
 
 // LockFor acquires for writing, giving up after d.
 func (p *Proc) LockFor(d time.Duration) bool {
-	if p.TryLock() {
-		return true
-	}
-	return p.lock(lockcore.After(d))
+	return lockcore.AcquireFor(d, p.TryLock, p.lock)
 }
 
 // RLockCtx acquires for reading, abandoning when ctx is done. It

@@ -31,6 +31,12 @@ func TestGoldenExperiments(t *testing.T) {
 		// 100 % reads never reach the queue mutex.
 		{"goll", 256, 1.0, 147064, 0x41cc405c7e6ad096},
 		{"solaris", 64, 1.0, 20936, 0x41685a311e6ebb56},
+		// The central indicator, recorded while it was a type of its own:
+		// the leafless C-SNZI that replaced it issues the same accesses.
+		{"goll-central", 64, 0.95, 88273, 0x41614b579df1da98},
+		{"foll-central", 64, 0.95, 37416, 0x4171f994f6e62977},
+		{"roll-central", 64, 0.95, 41170, 0x417135c08ce721f6},
+		{"goll-central", 256, 1.0, 81438, 0x4155d5542fbbbd14},
 	} {
 		res := RunExperiment(*ByName(g.lock), sim.T5440(), g.threads, g.readFraction, 40, 42)
 		if bits := math.Float64bits(res.Throughput); res.Steps != g.steps || bits != g.throughputBits {

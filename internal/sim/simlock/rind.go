@@ -52,131 +52,12 @@ func CSNZIIndicator(m *sim.Machine, maxProcs int) Indicator {
 	return NewCSNZI(m, DefaultCSNZIConfig(m, maxProcs))
 }
 
-// CentralIndicator builds the degenerate centralized indicator: one
-// CAS-able counter word (mirrors rind.Central / central.Lockword).
+// CentralIndicator builds the degenerate centralized indicator — the
+// C-SNZI with its tree disabled (mirrors rind.NewCentral): every reader
+// CASes one word, the bottleneck the paper's introduction criticizes.
 func CentralIndicator(m *sim.Machine, maxProcs int) Indicator {
-	return NewCentralInd(m)
+	return NewCSNZI(m, CSNZIConfig{Direct: true})
 }
-
-// ShardedIndicator builds the sharded ingress/egress indicator with one
-// slot per core (mirrors rind.Sharded).
-func ShardedIndicator(m *sim.Machine, maxProcs int) Indicator {
-	return NewShardedInd(m, maxProcs)
-}
-
-// --- centralized indicator ---
-
-// CentralInd is the simulated centralized read indicator: a single
-// word, bit 63 closed, low bits the surplus count (the layout of
-// central.Lockword). Every reader CASes the one word, so it embodies
-// the coherence bottleneck the paper's introduction criticizes.
-type CentralInd struct {
-	w     *sim.Word
-	stats *obs.Stats
-}
-
-// NewCentralInd allocates an open centralized indicator on m.
-func NewCentralInd(m *sim.Machine) *CentralInd {
-	return &CentralInd{w: m.NewWord(0)}
-}
-
-// SetStats implements Indicator.
-func (s *CentralInd) SetStats(st *obs.Stats) { s.stats = st }
-
-// InitClosed implements Indicator.
-func (s *CentralInd) InitClosed() { s.w.Init(closedBit) }
-
-// Arrive implements Indicator. Successful arrivals count as root
-// arrivals (the word is the root); like the real rind.Central, the
-// csnzi.cas.retry counter is not emitted.
-func (s *CentralInd) Arrive(c *sim.Ctx, id int) Ticket {
-	for {
-		old := c.Load(s.w)
-		if old&closedBit != 0 {
-			s.stats.Inc(obs.CSNZIArriveFail, id)
-			return TicketFailed
-		}
-		if c.CAS(s.w, old, old+1) {
-			s.stats.Inc(obs.CSNZIArriveRoot, id)
-			return TicketDirect
-		}
-	}
-}
-
-// Depart implements Indicator.
-func (s *CentralInd) Depart(c *sim.Ctx, t Ticket) bool {
-	if t != TicketDirect {
-		panic("simlock: central Depart with foreign ticket")
-	}
-	for {
-		old := c.Load(s.w)
-		if old&^closedBit == 0 {
-			panic("simlock: central Depart without matching Arrive")
-		}
-		if c.CAS(s.w, old, old-1) {
-			return old-1 != closedBit
-		}
-	}
-}
-
-// Query implements Indicator.
-func (s *CentralInd) Query(c *sim.Ctx) (bool, bool) {
-	old := c.Load(s.w)
-	return old&^closedBit != 0, old&closedBit == 0
-}
-
-// QueryOpenSpin implements Indicator.
-func (s *CentralInd) QueryOpenSpin(c *sim.Ctx) {
-	c.SpinUntil(s.w, func(v uint64) bool { return v&closedBit == 0 })
-}
-
-// Close implements Indicator.
-func (s *CentralInd) Close(c *sim.Ctx) bool {
-	for {
-		old := c.Load(s.w)
-		if old&closedBit != 0 {
-			return false
-		}
-		if c.CAS(s.w, old, old|closedBit) {
-			s.stats.Inc(obs.CSNZIClose, 0)
-			return old == 0
-		}
-	}
-}
-
-// CloseIfEmpty implements Indicator.
-func (s *CentralInd) CloseIfEmpty(c *sim.Ctx) bool {
-	for {
-		if c.Load(s.w) != 0 {
-			return false
-		}
-		if c.CAS(s.w, 0, closedBit) {
-			s.stats.Inc(obs.CSNZIClose, 0)
-			return true
-		}
-	}
-}
-
-// Open implements Indicator.
-func (s *CentralInd) Open(c *sim.Ctx) {
-	if old := c.Load(s.w); old != closedBit {
-		panic(fmt.Sprintf("simlock: central Open on word=%#x", old))
-	}
-	s.stats.Inc(obs.CSNZIOpen, 0)
-	c.Store(s.w, 0)
-}
-
-// OpenWithArrivals implements Indicator.
-func (s *CentralInd) OpenWithArrivals(c *sim.Ctx, cnt int, close bool) {
-	s.stats.Inc(obs.CSNZIOpen, 0)
-	w := uint64(cnt)
-	if close {
-		w |= closedBit
-	}
-	c.Store(s.w, w)
-}
-
-// --- sharded ingress/egress indicator ---
 
 // Gate word layout (mirrors rind.Sharded): bit 63 closed, bit 62
 // drained, bit 61 pending, bits 31-60 the close-epoch counter (bumped
@@ -211,9 +92,9 @@ type ShardedInd struct {
 	stats  *obs.Stats
 }
 
-// NewShardedInd allocates an open sharded indicator on m with one slot
-// per core used by maxProcs threads.
-func NewShardedInd(m *sim.Machine, maxProcs int) *ShardedInd {
+// ShardedIndicator allocates an open sharded ingress/egress indicator
+// on m with one slot per core used by maxProcs threads.
+func ShardedIndicator(m *sim.Machine, maxProcs int) Indicator {
 	if maxProcs < 1 {
 		maxProcs = 1
 	}
@@ -423,18 +304,11 @@ func (s *ShardedInd) clearPending(c *sim.Ctx) {
 }
 
 // Open implements Indicator.
-func (s *ShardedInd) Open(c *sim.Ctx) {
-	s.stats.Inc(obs.CSNZIOpen, 0)
-	s.openWithArrivals(c, 0, false)
-}
+func (s *ShardedInd) Open(c *sim.Ctx) { s.OpenWithArrivals(c, 0, false) }
 
 // OpenWithArrivals implements Indicator.
 func (s *ShardedInd) OpenWithArrivals(c *sim.Ctx, cnt int, close bool) {
 	s.stats.Inc(obs.CSNZIOpen, 0)
-	s.openWithArrivals(c, cnt, close)
-}
-
-func (s *ShardedInd) openWithArrivals(c *sim.Ctx, cnt int, close bool) {
 	g := c.Load(s.gate)
 	if g&^sgEpochMask != sgClosed|sgDrained {
 		panic(fmt.Sprintf("simlock: sharded Open on gate=%#x", g))

@@ -63,12 +63,6 @@ func (l *GOLLLock) lockChaos() *chaos.Injector { return l.chaos }
 // NewGOLL returns a GOLL lock. It has no participant limit.
 func NewGOLL() *GOLLLock { return &GOLLLock{l: goll.New()} }
 
-// NewGOLLWithCSNZI returns a GOLL lock using a custom-configured C-SNZI
-// (tree width, arrival policy) — the knob the ablation benchmarks turn.
-func NewGOLLWithCSNZI(c *CSNZI) *GOLLLock {
-	return &GOLLLock{l: goll.New(goll.WithCSNZI(c))}
-}
-
 // GOLLProc is the GOLL per-goroutine handle: RLock/RUnlock and
 // Lock/Unlock, the Upgrader pair (TryUpgrade/Downgrade), the
 // non-blocking TryRLock/TryLock, and SetPriority. It aliases the
