@@ -85,6 +85,7 @@ func (p *Proc) CancelWriteWait(dl lockcore.Deadline, t0, pt int64, ph lockcore.P
 		return false
 	}
 	w.Flag.Wait(p.Q.In.Wait, p.ID, p.PI.TR)
+	w.BecomeHead()
 	p.PI.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteDirect)
 	p.PI.ProfAcquired(pt, true)
 	p.Unlock()
@@ -205,12 +206,11 @@ func (q *Queue) ReapDrain(w, oldTail *Node, id int) {
 	})
 	oldTail.Flag.Wait(q.In.Wait, id, nil)
 	if oldTail.Ind.Close() {
-		if w.QPrev.Load() != nil {
-			w.QPrev.Store(nil) // head now
-		}
+		w.BecomeHead()
 		q.Recycle(oldTail, id)
 	} else {
 		w.Flag.Wait(q.In.Wait, id, nil)
+		w.BecomeHead()
 	}
 	q.UnlockNode(w, id)
 }

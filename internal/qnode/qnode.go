@@ -86,7 +86,9 @@ type Node struct {
 	QNext atomicx.PaddedPointer[Node]
 	// QPrev is the backward link of a doubly linked queue. The policy
 	// sets it (through Reset, or once its Swap reveals the predecessor);
-	// the substrate only clears it, when the node becomes the head.
+	// a writer node clears its own when it becomes the head (BecomeHead),
+	// and a reader node's is left for its next Reset, since no walk
+	// follows a reader node's link.
 	QPrev atomicx.PaddedPointer[Node]
 	// Flag is the node's grant flag (the "spin" boolean of Figure 4),
 	// policy-aware so blocked threads can yield or park instead of
@@ -120,10 +122,11 @@ func NewWriterNode() *Node { return &Node{Kind: Writer} }
 // flag is the enqueue site's to set (Flag.Set follows the same rule).
 // Each word is loaded and stored only if it differs: an atomic store is
 // a locked instruction, a node almost always comes back clean (release
-// paths clear QNext, a grant clears QPrev; only a delivered grant
-// dirties GState), and the node is private, so eliding a store of the
-// value already there is unobservable. Every enqueue site goes through
-// here, so the empty-queue writer path is one Swap and one CAS.
+// paths clear QNext, a writer clears QPrev as it becomes the head; only
+// a delivered grant dirties GState, and a granted reader node keeps its
+// back link until here), and the node is private, so eliding a store of
+// the value already there is unobservable. Every enqueue site goes
+// through here, so the empty-queue writer path is one Swap and one CAS.
 func (n *Node) Reset(prev *Node) {
 	if n.QNext.Load() != nil {
 		n.QNext.Store(nil)
@@ -133,6 +136,19 @@ func (n *Node) Reset(prev *Node) {
 	}
 	if n.QPrev.Load() != prev {
 		n.QPrev.Store(prev)
+	}
+}
+
+// BecomeHead is a writer node's first step once it holds the lock: it
+// clears its own back link, by load-compare-store like Reset. The grant
+// leaves the link alone (see grant), so until this step a backward walk
+// may follow it to a node that has since been released, recycled or
+// re-enqueued; the walk joins only a waiting, open group, which only an
+// enqueued one is, and is bounded. Under a policy without back links it
+// is one load of a nil word.
+func (n *Node) BecomeHead() {
+	if n.QPrev.Load() != nil {
+		n.QPrev.Store(nil)
 	}
 }
 
@@ -305,16 +321,14 @@ func (p *Proc) OpenArrived(n *Node) {
 // losing it means the node's writer timed out, so ownership passes to
 // the successor instead — waiting for the enqueue/link race to settle
 // exactly as Unlock does, and emptying the queue if the abandoned node
-// was the tail. The node actually granted becomes the queue head, so a
-// back link is cleared before its flag. Skipped writer nodes are
-// garbage (their procs already replaced them); reader nodes are never
-// abandoned, so for them the CAS always succeeds.
+// was the tail. The grant writes the grantee's grant word and flag and
+// nothing else of it: the back link the grantee wrote at enqueue is its
+// own to clear (BecomeHead), off the releaser's path. Skipped writer
+// nodes are garbage (their procs already replaced them); reader nodes
+// are never abandoned, so for them the CAS always succeeds.
 func (q *Queue) grant(n *Node, id int, tr *lockcore.TraceLocal) {
 	for {
 		if n.GState.CompareAndSwap(Live, Granted) {
-			if n.QPrev.Load() != nil {
-				n.QPrev.Store(nil)
-			}
 			n.Flag.Clear()
 			return
 		}
@@ -414,20 +428,23 @@ func (q *Queue) NodesInUse() int {
 
 // RestFault names the first way n, a node outside the queue — a free
 // ring node, or a proc's writer node between acquisitions — departs
-// from the resting state ("" if none): no queue links, no abandoned
-// grant word, and for a ring node a lowered flag over a closed, drained
-// indicator. From rest, Reset and Flag.Set make a node canonical
-// storing at most the two words a finished acquisition may leave
-// behind: the grant word (Granted after a delivered grant) and the
-// flag.
+// from the resting state ("" if none): no successor link, no abandoned
+// grant word, for a writer node no back link, and for a ring node a
+// lowered flag over a closed, drained indicator. A ring node may keep
+// the back link of its last enqueue: no walk follows a reader node's
+// link, and Reset overwrites it at the next enqueue. From rest, Reset
+// and Flag.Set make a writer node canonical storing at most the two
+// words a finished acquisition may leave behind: the grant word
+// (Granted after a delivered grant) and the flag; a ring node, at most
+// its back link besides.
 func (n *Node) RestFault() string {
 	switch {
 	case n.QNext.Load() != nil:
 		return "stale qNext"
-	case n.QPrev.Load() != nil:
-		return "stale qPrev"
 	case n.GState.Load() == Abandoned:
 		return "abandoned grant word"
+	case n.Kind == Writer && n.QPrev.Load() != nil:
+		return "stale qPrev"
 	case n.Kind == Writer:
 		return ""
 	case n.Flag.Blocked():
@@ -477,10 +494,13 @@ func (n *Node) resting() bool {
 }
 
 // DumpLockState renders the live queue for the trace watchdog: the
-// backward chain from the tail (the tail alone under a policy without
-// back links; bounded, since stale links through recycled nodes can
-// mislead the walk), then every other in-use ring node. All fields read
-// are atomics or immutable, so the racy read is safe, merely advisory.
+// backward chain from the tail to the first node whose flag is lowered
+// — the head; a link behind it is stale (a granted reader group keeps
+// its link, a granted writer keeps its own until BecomeHead) — or just
+// the tail under a policy without back links, then every other in-use
+// ring node. The chain is bounded all the same, since a stale link read
+// mid-update can still mislead it. All fields read are atomics or
+// immutable, so the racy read is safe, merely advisory.
 func (q *Queue) DumpLockState(w io.Writer) {
 	tail := q.Tail.Load()
 	if tail == nil {
@@ -495,6 +515,9 @@ func (q *Queue) DumpLockState(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%s: queue node %s: %s\n", q.name, pos, cur)
 		chain = append(chain, cur)
+		if !cur.Flag.Blocked() {
+			break // the head
+		}
 	}
 	for i := range q.ring {
 		if n := &q.ring[i]; n.InUse() && !slices.Contains(chain, n) {

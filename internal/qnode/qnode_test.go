@@ -125,6 +125,31 @@ func TestCancelLosesToInFlightGrant(t *testing.T) {
 	wantRest(t, q, ps)
 }
 
+// TestBecomeHeadNotGrantClearsBackLink: a grant writes the grantee's
+// grant word and flag and nothing else of it; the back link the grantee
+// wrote at enqueue is the grantee's own to clear once it holds the lock.
+func TestBecomeHeadNotGrantClearsBackLink(t *testing.T) {
+	q, ps := newQueue(2)
+	for _, p := range ps {
+		enqueueWriter(p)
+	}
+	w, sentinel := ps[1].WNode, NewWriterNode()
+	w.QPrev.Store(sentinel)
+	ps[0].Unlock()
+	if w.Flag.Blocked() || w.GState.Load() != Granted {
+		t.Fatal("the grant was not delivered")
+	}
+	if w.QPrev.Load() != sentinel {
+		t.Fatal("the grant wrote the grantee's back link")
+	}
+	if f := w.RestFault(); f != "stale qPrev" {
+		t.Fatalf("a writer node holding a back link rests with fault %q, want stale qPrev", f)
+	}
+	w.BecomeHead()
+	ps[1].Unlock()
+	wantRest(t, q, ps)
+}
+
 // TestProcLayout pins the memory the read fast path touches in a Proc:
 // the queue, the group it must depart from and the ticket (one
 // pointer-free word: csnzi's TestTicketIsOnePointerFreeWord) all sit in

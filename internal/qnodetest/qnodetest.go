@@ -343,6 +343,188 @@ func NodesRestAfterCancelStorm(t *testing.T, pol Policy) {
 	}
 }
 
+// BecomeHeadClearsOwnBackLink runs every path on which a writer node
+// comes to hold the lock behind a predecessor, each from a node whose
+// back link names a sentinel, and requires each to leave the node at
+// rest: the node clears its own link (Node.BecomeHead), since the grant
+// writes only the grantee's grant word and flag. A granted reader group,
+// whose link nothing clears, shows the grant left its sentinel alone.
+// The paths through the policy's own write acquisition, and the reaper
+// of a duty-phase abandonment, exist only under a policy with back links.
+func BecomeHeadClearsOwnBackLink(t *testing.T, pol Policy) {
+	// wantRest fails unless writer node w is at rest, link cleared, and
+	// the lock idle once any reaper is done.
+	wantRest := func(t *testing.T, l Lock, w *qnode.Node) {
+		t.Helper()
+		awaitQuiescence(t, l, 0)
+		if f := w.RestFault(); f != "" {
+			t.Fatalf("writer node not at rest: %s", f)
+		}
+	}
+	// timedOutGroup leaves, behind a write holder, a waiting reader group
+	// whose only member timed out: enqueued, open and empty.
+	timedOutGroup := func(t *testing.T, l Lock) (holder Proc, g *qnode.Node) {
+		holder = holdWrite(l)
+		if l.NewProc().RLockFor(5 * time.Millisecond) {
+			t.Fatal("RLockFor succeeded while write-held")
+		}
+		return holder, l.Tail.Load()
+	}
+	expired := lockcore.After(-time.Second)
+	cases := []struct {
+		name      string
+		backLinks bool
+		run       func(t *testing.T, sentinel *qnode.Node)
+	}{
+		{"grant-leaves-group-link", false, func(t *testing.T, sentinel *qnode.Node) {
+			l := pol.new(3)
+			holder, r := holdWrite(l), l.NewProc()
+			g := ringNode(r)
+			read := background(r.RLock)
+			awaitLinked(t, l, holder.Base.WNode, g)
+			g.QPrev.Store(sentinel)
+			holder.Unlock()
+			await(t, read, "the group's grant")
+			if g.QPrev.Load() != sentinel {
+				t.Fatal("the grant wrote the granted group's back link")
+			}
+			r.RUnlock()
+			holder.Lock() // takes the drained group empty and recycles it
+			if f := l.RingFault(); f != "" {
+				t.Fatalf("a reader node keeping its link is not at rest: %s", f)
+			}
+			holder.Unlock()
+			wantRest(t, l, holder.Base.WNode)
+		}},
+		{"lock/behind-writer", true, func(t *testing.T, sentinel *qnode.Node) {
+			l := pol.new(3)
+			holder, p := holdWrite(l), l.NewProc()
+			w := p.Base.WNode
+			locked := background(p.Lock)
+			awaitLinked(t, l, holder.Base.WNode, w)
+			w.QPrev.Store(sentinel)
+			holder.Unlock()
+			await(t, locked, "the grant")
+			p.Unlock()
+			wantRest(t, l, w)
+		}},
+		{"lock/behind-group", true, func(t *testing.T, sentinel *qnode.Node) {
+			l := pol.new(3)
+			holder, r, p := holdWrite(l), l.NewProc(), l.NewProc()
+			g, w := ringNode(r), p.Base.WNode
+			read := background(r.RLock)
+			awaitLinked(t, l, holder.Base.WNode, g)
+			locked := background(p.Lock)
+			awaitLinked(t, l, g, w)
+			w.QPrev.Store(sentinel)
+			holder.Unlock()
+			await(t, read, "the group's grant")
+			awaitClosed(t, g) // under the reader: its departure grants w
+			r.RUnlock()
+			await(t, locked, "the last departer's grant")
+			p.Unlock()
+			wantRest(t, l, w)
+		}},
+		{"lock/drained-group", true, func(t *testing.T, sentinel *qnode.Node) {
+			l := pol.new(3)
+			holder, g := timedOutGroup(t, l)
+			p := l.NewProc()
+			w := p.Base.WNode
+			locked := background(p.Lock)
+			awaitLinked(t, l, g, w)
+			w.QPrev.Store(sentinel)
+			holder.Unlock() // grants the empty group: w closes it drained
+			await(t, locked, "the drained group's take-over")
+			p.Unlock()
+			wantRest(t, l, w)
+		}},
+		{"CancelWriteWait/lost-race", false, func(t *testing.T, sentinel *qnode.Node) {
+			l := pol.new(3)
+			holdWrite(l)
+			p := l.NewProc()
+			w := p.Base.WNode
+			// Enqueue w behind the holder as a write acquisition does.
+			w.Reset(nil)
+			pred := l.Tail.Swap(w)
+			w.QPrev.Store(sentinel)
+			w.Flag.Set(true)
+			pred.QNext.Store(w)
+			// The first half of the holder's release wins the grant word;
+			// the canceler then loses the race and must collect the grant.
+			if !w.GState.CompareAndSwap(qnode.Live, qnode.Granted) {
+				t.Fatal("node not live")
+			}
+			canceled := background(func() { p.Base.CancelWriteWait(expired, 0, 0, 0) })
+			stillBlocked(t, canceled, "the canceler returned before the grant was delivered")
+			w.Flag.Clear()
+			pred.QNext.Store(nil) // the rest of the holder's release
+			await(t, canceled, "the canceler to release the collected grant")
+			if p.Base.WNode != w {
+				t.Fatal("the granted node was replaced as if abandoned")
+			}
+			wantRest(t, l, w)
+		}},
+		{"ReapDrain/closed-empty", true, func(t *testing.T, sentinel *qnode.Node) {
+			l := pol.new(3)
+			holder, g := timedOutGroup(t, l)
+			p := l.NewProc()
+			w := p.Base.WNode
+			if p.LockFor(5 * time.Millisecond) {
+				t.Fatal("LockFor succeeded behind a waiting group")
+			}
+			if p.Base.WNode == w {
+				t.Fatal("the duty-phase abandonment kept its node")
+			}
+			awaitLinked(t, l, g, w)
+			w.QPrev.Store(sentinel)
+			holder.Unlock() // grants the empty group: the reaper closes it drained
+			wantRest(t, l, w)
+		}},
+		{"ReapDrain/granted", false, func(t *testing.T, sentinel *qnode.Node) {
+			in, reached, resume := parkAt(1, stepQueueEnqueue)
+			l := pol.New(3, lockcore.Instr{Chaos: in})
+			r, p := l.NewProc(), l.NewProc()
+			r.RLock()
+			r.RUnlock()
+			g, w := l.Tail.Load(), p.Base.WNode
+			var got bool
+			tried := background(func() { got = p.TryLock() })
+			await(t, reached, "the try to swap itself in")
+			r.Base.Hold(g, g.Ind.Arrive(r.Base.ID)) // a reader gets in first
+			close(resume)
+			await(t, tried, "the try to return")
+			if got || p.Base.WNode == w {
+				t.Fatal("the try did not leave its node to a reaper")
+			}
+			awaitLinked(t, l, g, w)
+			w.QPrev.Store(sentinel)
+			awaitClosed(t, g) // under the reader: its departure grants w
+			r.RUnlock()
+			wantRest(t, l, w)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.backLinks && !pol.BackLinks {
+				t.Skip("the policy never links a writer backward on this path")
+			}
+			c.run(t, qnode.NewWriterNode())
+		})
+	}
+}
+
+// awaitClosed waits until reader group g's indicator is closed.
+func awaitClosed(t *testing.T, g *qnode.Node) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, open := g.Ind.Query(); open; _, open = g.Ind.Query() {
+		if time.Now().After(deadline) {
+			t.Fatal("the group was never closed")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // statsLock builds a lock counting into a fresh stats block.
 func (pol Policy) statsLock(maxProcs int) (Lock, *obs.Stats) {
 	st := obs.New()

@@ -94,22 +94,13 @@ func TestWaitingGroupIsNotTriedEmpty(t *testing.T) {
 	g := l.Tail.Load()
 	locked := make(chan struct{})
 	go func() { w.Lock(); close(locked) }()
-	// until polls for a queue state another goroutine is about to reach.
-	until := func(what string, cond func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-		}
-	}
-	until("the writer to link behind the group", func() bool { return g.QNext.Load() == w.WNode })
+	waitFor(t, "the writer to link behind the group", func() bool { return g.QNext.Load() == w.WNode })
 	if _, open := g.Ind.Query(); !open {
 		t.Fatal("the writer closed a waiting group")
 	}
 	read := make(chan struct{})
 	go func() { r2.RLock(); close(read) }()
-	until("the reader to join the group", func() bool { nonzero, _ := g.Ind.Query(); return nonzero })
+	waitFor(t, "the reader to join the group", func() bool { nonzero, _ := g.Ind.Query(); return nonzero })
 	release()
 	<-read
 	select {

@@ -38,3 +38,7 @@ func TestReadCtxCancelBehindWriter(t *testing.T) { qnodetest.ReadCtxCancelBehind
 func TestTrySemantics(t *testing.T)              { qnodetest.TrySemantics(t, policy) }
 func TestTryLockHammer(t *testing.T)             { qnodetest.TryLockHammer(t, policy) }
 func TestCloseBeforeLink(t *testing.T)           { qnodetest.CloseBeforeLink(t, policy) }
+
+func TestBecomeHeadClearsOwnBackLink(t *testing.T) {
+	qnodetest.BecomeHeadClearsOwnBackLink(t, policy)
+}

@@ -32,7 +32,8 @@
 // The queue, its nodes and ring pool, release, the non-blocking tries
 // and the abandonment machinery are internal/qnode's, shared with FOLL.
 // This package is what §4.3 adds: the backward links (the substrate's
-// QPrev word, which only this policy sets), the lastReader hint, the
+// QPrev word, which only this policy sets, and which each writer clears
+// itself once it holds the lock), the lastReader hint, the
 // join-a-waiting-group rule (tryJoinWaiting and the back-walk), and the
 // deferred close (the reaper an abandoned one needs is the substrate's
 // ReapDrain, which a refused TryLock shares).
@@ -50,9 +51,10 @@ import (
 	"ollock/internal/rind"
 )
 
-// searchLimit bounds the backward walk. Stale prev pointers through
-// recycled nodes can mislead the walk; bounding it keeps the fallback
-// (enqueue a fresh node, i.e. FOLL behaviour) prompt.
+// searchLimit bounds the backward walk. A stale back link can lead the
+// walk through released and re-enqueued nodes, even round a cycle;
+// bounding it keeps the fallback (enqueue a fresh node, i.e. FOLL
+// behaviour) prompt.
 const searchLimit = 256
 
 // events is ROLL's counter family for the events the substrate counts.
@@ -150,6 +152,26 @@ func (p *Proc) tryJoinWaiting(n *qnode.Node, t0, pt int64, dl lockcore.Deadline)
 	return joinAcquired
 }
 
+// overtake is the backward search from writer node from (a tail the
+// caller loaded, possibly stale by now): follow back links through
+// writer nodes to the first reader node and try to join its group. It
+// stops there whatever the outcome, since a reader node's own link is
+// never followed. The links it follows may be stale — a granted writer
+// keeps its link until BecomeHead, and may name a node since recycled,
+// re-enqueued or released, so the chain can even cycle — which is safe
+// because tryJoinWaiting joins only a waiting, open group (an enqueued
+// one), and searchLimit ends a cycle.
+func (p *Proc) overtake(from *qnode.Node, t0, pt int64, dl lockcore.Deadline) int {
+	cur := from.QPrev.Load()
+	for steps := 0; cur != nil && steps < searchLimit; steps++ {
+		if cur.Kind == qnode.Reader {
+			return p.tryJoinWaiting(cur, t0, pt, dl)
+		}
+		cur = cur.QPrev.Load()
+	}
+	return joinNo
+}
+
 // RLock acquires the lock for reading, preferring to join an existing
 // waiting reader group over enqueuing behind writers.
 func (p *Proc) RLock() { p.rlock(lockcore.Deadline{}) }
@@ -219,19 +241,11 @@ func (p *Proc) rlock(dl lockcore.Deadline) bool {
 			// Tail is a writer: search backward for a waiting reader
 			// group to overtake into. (An empty queue has nothing to
 			// search.)
-			var cur *qnode.Node
 			if tail != nil {
-				cur = tail.QPrev.Load()
-			}
-			for steps := 0; cur != nil && steps < searchLimit; steps++ {
-				if cur.Kind == qnode.Reader {
-					if st := p.tryJoinWaiting(cur, t0, pt, dl); st != joinNo {
-						qnode.Unalloc(rNode)
-						return st == joinAcquired
-					}
-					break // reader node found but not joinable
+				if st := p.overtake(tail, t0, pt, dl); st != joinNo {
+					qnode.Unalloc(rNode)
+					return st == joinAcquired
 				}
-				cur = cur.QPrev.Load()
 			}
 			// No joinable group: enqueue a fresh reader node at the tail
 			// (FOLL behaviour) — running on an empty queue, waiting behind
@@ -296,6 +310,7 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 		if w.Flag.Blocked() && !w.Flag.WaitUntil(q.In.Wait, p.ID, p.PI.TR, dl) {
 			return p.CancelWriteWait(dl, t0, pt, lockcore.PhaseQueueWait)
 		}
+		w.BecomeHead()
 		p.PI.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteDirect)
 		p.PI.ProfAcquired(pt, true)
 		q.In.SpanObserve(lockcore.ROLLWriteWait, p.ID, w0)
@@ -350,9 +365,7 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 	if closedEmpty {
 		// Group already drained: no reader will signal us; the grant we
 		// observed (spin false) is ours to take over.
-		if w.QPrev.Load() != nil {
-			w.QPrev.Store(nil) // we are the head now
-		}
+		w.BecomeHead()
 		p.Recycle(oldTail)
 		p.PI.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteRoot)
 		p.PI.ProfAcquired(pt, true)
@@ -362,6 +375,7 @@ func (p *Proc) lock(dl lockcore.Deadline) bool {
 	if w.Flag.Blocked() && !w.Flag.WaitUntil(q.In.Wait, p.ID, p.PI.TR, dl) {
 		return p.CancelWriteWait(dl, t0, pt, lockcore.PhaseDrainWait)
 	}
+	w.BecomeHead()
 	p.PI.Acquired(lockcore.KindWriteAcquired, t0, lockcore.RouteDirect)
 	p.PI.ProfAcquired(pt, true)
 	q.In.SpanObserve(lockcore.ROLLWriteWait, p.ID, w0)

@@ -237,9 +237,6 @@ func (p *follProc) RUnlock(c *sim.Ctx) {
 	}
 	succRef := c.Load(n.qNext)
 	succ := l.nodes[deref(succRef)]
-	if l.withPrev {
-		c.Store(succ.qPrev, 0)
-	}
 	c.Store(succ.spin, 0)
 	c.Store(n.qNext, 0)
 	freeNode(c, n)
@@ -264,6 +261,9 @@ func (p *follProc) Lock(c *sim.Ctx) {
 	c.Store(pred.qNext, ref(p.wNodeIdx))
 	if pred.isWriter {
 		l.pol.wait(c, l.stats, p.id, w.spin, func(v uint64) bool { return v == 0 })
+		if l.withPrev {
+			c.Store(w.qPrev, 0) // the head clears its own back link
+		}
 		l.stats.Observe(l.histWrite, p.id, c.Now()-w0)
 		return
 	}
@@ -281,6 +281,7 @@ func (p *follProc) Lock(c *sim.Ctx) {
 			return
 		}
 		l.pol.wait(c, l.stats, p.id, w.spin, func(v uint64) bool { return v == 0 })
+		c.Store(w.qPrev, 0)
 		l.stats.Observe(l.histWrite, p.id, c.Now()-w0)
 		return
 	}
@@ -308,9 +309,6 @@ func (p *follProc) Unlock(c *sim.Ctx) {
 		succRef = l.pol.wait(c, l.stats, p.id, w.qNext, func(v uint64) bool { return v != 0 })
 	}
 	succ := l.nodes[deref(succRef)]
-	if l.withPrev {
-		c.Store(succ.qPrev, 0)
-	}
 	c.Store(succ.spin, 0)
 	c.Store(w.qNext, 0)
 }

@@ -188,6 +188,24 @@ func TestWriteOnlyQueueLocksComparable(t *testing.T) {
 	}
 }
 
+// TestROLLWriteHandoffKeepsFOLLPace: ROLL is FOLL plus a back link and
+// a reader-join rule (§4.3), so with no readers it must hand off at
+// nearly FOLL's pace (Figure 5(e)/(f): "all distributed queue locks
+// behave similarly"). A grant that also cleared the grantee's back
+// link — a second remote line on the critical path — ran at 0.75×. With
+// no reads there is nothing random to draw, so one seed stands for all.
+func TestROLLWriteHandoffKeepsFOLLPace(t *testing.T) {
+	cfg := sim.T5440()
+	for _, threads := range []int{16, 64, 256} {
+		foll := RunExperiment(*ByName("foll"), cfg, threads, 0, 40, 1)
+		roll := RunExperiment(*ByName("roll"), cfg, threads, 0, 40, 1)
+		if r := roll.Throughput / foll.Throughput; r < 0.90 {
+			t.Errorf("%d threads, 0%% reads: ROLL/FOLL = %.3f (%.3e / %.3e), want >= 0.90",
+				threads, r, roll.Throughput, foll.Throughput)
+		}
+	}
+}
+
 func TestSweepShape(t *testing.T) {
 	s := Sweep(*ByName("roll"), testCfg(), []int{1, 4, 8}, 0.99, 60, 17)
 	if len(s.Points) != 3 || s.Lock != "roll" {
