@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-386 test race registry-check bench bench-e2e bench-compare bench-json bench-json-check fig5 fig5-plot fig5-real fairness stress clean
+.PHONY: all build build-386 test race registry-check bench bench-e2e bench-compare bench-json bench-json-check fig5 fig5-plot fairness stress clean
 
 all: build test
 
@@ -29,7 +29,8 @@ registry-check:
 	$(GO) test ./internal/lockcore/
 
 # The full benchmark sweep (real-goroutine + simulated Figure 5 panels,
-# micro-benchmarks, ablations).
+# micro-benchmarks, ablations). Real-goroutine Figure 5 on a big host:
+# $(GO) test -run XXX -bench '^BenchmarkFig5$' -cpu 16,64 .
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -49,11 +50,11 @@ bench-compare:
 # output is validated against the checked-in schema.
 bench-json:
 	$(GO) run ./cmd/benchbravo -runs 3 -out BENCH_bravo.json
-	$(GO) run ./cmd/benchcheck -schema BENCH_bravo.schema.json BENCH_bravo.json
+	$(GO) run ./cmd/lockmon check -schema BENCH_bravo.schema.json BENCH_bravo.json
 
 # Validate the checked-in benchmark artifact without regenerating it.
 bench-json-check:
-	$(GO) run ./cmd/benchcheck -schema BENCH_bravo.schema.json BENCH_bravo.json
+	$(GO) run ./cmd/lockmon check -schema BENCH_bravo.schema.json BENCH_bravo.json
 
 # Regenerate the paper's Figure 5 on the simulated T5440.
 fig5:
@@ -61,10 +62,6 @@ fig5:
 
 fig5-plot:
 	$(GO) run ./cmd/simfig5 -plot
-
-# Real goroutines on this host (meaningful on big multicore machines).
-fig5-real:
-	$(GO) run ./cmd/benchfig5
 
 fairness:
 	$(GO) run ./cmd/simfair

@@ -7,8 +7,9 @@
 //
 //   - BenchmarkFig5: real goroutines on the host. Each benchmark
 //     iteration performs one complete measured run and reports the
-//     paper's metric (acquires/s). On a big multicore host, sweep
-//     threads wider via cmd/benchfig5.
+//     paper's metric (acquires/s). On a big multicore host, widen it
+//     with go test -run XXX -bench '^BenchmarkFig5$' -cpu 16,64 .: a
+//     GOMAXPROCS above 8 adds that many goroutines as a thread count.
 //   - BenchmarkSimFig5: the same experiment on the simulated 4-chip,
 //     256-hardware-thread T5440 (see internal/sim), which reproduces the
 //     paper's thread range on any host. Reports simulated acquires/s.
@@ -19,6 +20,7 @@ package ollock_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ollock/internal/harness"
@@ -47,6 +49,9 @@ var fig5LockNames = []string{"goll", "foll", "roll", "ksuh", "solaris"}
 // reported acq/s metric is the paper's y-axis.
 func BenchmarkFig5(b *testing.B) {
 	threadCounts := []int{2, 8}
+	if p := runtime.GOMAXPROCS(0); p > 8 {
+		threadCounts = append(threadCounts, p)
+	}
 	for _, p := range fig5Panels {
 		for _, name := range fig5LockNames {
 			impl := locksuite.ByName(name)

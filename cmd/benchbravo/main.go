@@ -150,11 +150,6 @@ var indicators = []string{"csnzi", "central", "sharded"}
 // lock-convoy regime where parking pays off hardest.
 var oversubFractions = []float64{0.95, 0.50, 0.00}
 
-// factories returns the (base, bravo-wrapped) factory pair for a base
-// lock over the named indicator. The default csnzi uses the registered
-// factories; the others use the lock × indicator matrix entries, with
-// the wrapper built inline (NewBravo adopts the base's stats block
-// either way).
 // biasBases lists the base kinds of the registry's pre-biased wrapper
 // kinds (bravo-goll → goll, ...), in registry order — the pairs this
 // benchmark compares.
@@ -177,6 +172,11 @@ func biasBaseKinds() []ollock.Kind {
 	return out
 }
 
+// factories returns the (base, bravo-wrapped) factory pair for a base
+// lock over the named indicator. The default csnzi uses the registered
+// factories; the others use the lock × indicator matrix entries, with
+// the wrapper built inline (NewBravo adopts the base's stats block
+// either way).
 func factories(baseName, indicator string) (base, wrapped simlock.Factory, err error) {
 	lookup := func(name string) (simlock.Factory, error) {
 		f := simlock.ByName(name)

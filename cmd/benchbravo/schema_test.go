@@ -28,7 +28,7 @@ func loadSchema(t *testing.T) *jsonschema.Schema {
 // to the checked-in schema, so regenerating the artifact with a changed
 // field set (or editing the schema without regenerating) fails
 // `go test ./...` — the same check CI applies to a freshly generated
-// file via cmd/benchcheck.
+// file via lockmon check.
 func TestCheckedInJSONMatchesSchema(t *testing.T) {
 	schema := loadSchema(t)
 	doc, err := os.ReadFile("../../BENCH_bravo.json")

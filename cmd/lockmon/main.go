@@ -1,7 +1,7 @@
-// Command lockmon is the live monitoring companion to the lock stack:
-// it runs a configurable workload against an instrumented lock while
-// the metrics pipeline samples it, and exposes, dumps, or diagnoses the
-// resulting time series.
+// Command lockmon is the host observability tool of the lock stack: it
+// runs a configurable workload against an instrumented lock and
+// exposes, dumps, profiles, records or diagnoses it, and it validates
+// the files it and the benchmarks write.
 //
 // Usage:
 //
@@ -13,58 +13,56 @@
 //	                | -scenario NAME
 //	lockmon profile [workload flags] [-rate 8] [-duration 2s] [-top 10]
 //	                [-o FILE.pb.gz] [-folded FILE] [-holds]
-//	lockmon checkfmt FILE
-//	lockmon profcheck FILE.pb.gz
+//	lockmon record  [workload flags] [-duration 1s] [-events N] [-out trace.json]
+//	lockmon export  [-out trace.chrome.json] trace.json
+//	lockmon top     trace.json
+//	lockmon watch   [-lock goll] [-indicator sharded] [-threads 4]
+//	                [-threshold 50ms] [-hold 500ms]
+//	lockmon check   [-schema FILE.schema.json] FILE...
 //
-// Workload flags (serve, sample, doctor, profile):
+// Workload flags (serve, sample, doctor, profile, record):
 //
 //	-lock goll -indicator csnzi -bias=false -wait spin
 //	-threads 8 -readpct 95 -work 0 -seed 42
 //
-// serve runs the workload (forever with -duration 0) and serves the
-// scrape endpoints: /metrics (Prometheus/OpenMetrics text, or the JSON
-// time series on Accept: application/json), and /doctor (the current
-// diagnosis as text; nonzero findings also set X-Lockmon-Findings).
-// With -debug it additionally attaches a call-site profiler (sampling
-// one acquisition in -rate) and a tracer, and mounts the unified
-// /debug/ollock/ surface: pprof contention and hold profiles (delta
-// with ?seconds=N), folded flamegraph stacks, the metrics and doctor
-// views as JSON, and a Perfetto-loadable trace.
+// serve runs the workload (forever with -duration 0) and serves
+// /metrics (Prometheus text, or the JSON time series on Accept:
+// application/json) and /doctor; -debug adds a call-site profiler and a
+// tracer behind /debug/ollock/ (pprof profiles, folded stacks, a
+// Perfetto trace). sample runs the workload for -duration and writes
+// the sampled series as prom, json, or text (final counters, wait
+// histograms and the doctor's report). doctor diagnoses the workload,
+// or replays a scripted -scenario ("list" enumerates them), and exits 1
+// when findings fire. profile prints the -top hottest call sites and
+// writes the pprof protobuf (-o) and folded stacks (-folded) of the
+// contention metric, or of the hold metric with -holds.
 //
-// sample runs the workload for -duration while sampling at -period and
-// writes the series in the chosen format: prom (exposition text), json
-// (the full ring time series), or text (a human summary plus the
-// doctor's report).
+// record flight-records the workload and writes the portable recording
+// (schema: TRACE_events.schema.json); export converts one to Chrome
+// trace-event JSON for https://ui.perfetto.dev, and top folds one into
+// a wait-time-by-phase-by-lock table. watch wedges a lock — a writer
+// holds it for -hold while -threads readers pile up — under the stall
+// watchdog, which names each stuck proc's wait phase and dumps the live
+// queue and the decoded indicator word.
 //
-// doctor runs the workload (or replays a scripted -scenario; see
-// "lockmon doctor -scenario list") and exits 0 when the diagnosis is
-// clean, 1 when findings fire, 2 on usage errors — scriptable as a CI
-// gate. Scenario replay needs no workload at all: the scripted counter
-// windows are evaluated directly, deterministically.
+// check validates each file by its first bytes: a gzip stream must be a
+// pprof profile with the contention or hold sample schema and at least
+// one sample; a JSON document must conform to -schema (default
+// TRACE_events.schema.json; BENCH_bravo.schema.json for the benchmark
+// artifact); anything else must be a valid Prometheus exposition.
 //
-// profile runs the workload for -duration with a call-site profiler
-// attached (sampling one acquisition in -rate), prints the -top hottest
-// contended call sites, and optionally writes the pprof protobuf
-// (-o, loadable with `go tool pprof`) and folded flamegraph stacks
-// (-folded). -holds switches both exports and the table from the
-// contention metric to the hold metric.
-//
-// checkfmt validates a Prometheus text exposition file (as scraped from
-// /metrics) against the format rules the exporter promises, exiting
-// nonzero with a line-numbered complaint on the first violation.
-//
-// profcheck validates a pprof profile file (as written by `lockmon
-// profile -o` or fetched from /debug/ollock/profile) by decoding the
-// protobuf and checking it carries at least one sample with the
-// contention or hold value schema, exiting nonzero otherwise.
-//
-// Every exported metric name is documented in METRICS.md; the doctor's
-// rules are specified in ALGORITHMS.md §14.
+// Exit status: 0 on success, 1 when a check fails, the doctor finds
+// something or I/O fails, 2 on usage errors. METRICS.md documents every
+// exported metric; ALGORITHMS.md §14 specifies the doctor's rules.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -76,48 +74,93 @@ import (
 
 	"ollock"
 	"ollock/internal/doctor"
+	"ollock/internal/jsonschema"
 	"ollock/internal/metrics"
 	"ollock/internal/prof"
+	"ollock/internal/trace"
 	"ollock/internal/xrand"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+const usage = `usage: lockmon serve|sample|doctor|profile|record [workload flags] [flags]
+       lockmon export|top TRACE.json
+       lockmon watch [flags]
+       lockmon check [-schema FILE] FILE...
+run "lockmon <subcommand> -h" for the subcommand's flags`
+
+// usageError is a bad command line (exit 2). An empty message means the
+// flag set has already printed its complaint.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// errReported is a failure whose details are already printed (exit 1).
+var errReported = errors.New("failure reported")
+
+// run is the command: arguments in, output and exit status out.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, usage)
+		return 2
 	}
-	switch os.Args[1] {
+	var sub func(args []string, stdout, stderr io.Writer) error
+	switch args[0] {
 	case "serve":
-		cmdServe(os.Args[2:])
+		sub = cmdServe
 	case "sample":
-		cmdSample(os.Args[2:])
+		sub = cmdSample
 	case "doctor":
-		cmdDoctor(os.Args[2:])
+		sub = cmdDoctor
 	case "profile":
-		cmdProfile(os.Args[2:])
-	case "checkfmt":
-		cmdCheckfmt(os.Args[2:])
-	case "profcheck":
-		cmdProfcheck(os.Args[2:])
+		sub = cmdProfile
+	case "record":
+		sub = cmdRecord
+	case "export":
+		sub = cmdExport
+	case "top":
+		sub = cmdTop
+	case "watch":
+		sub = cmdWatch
+	case "check":
+		sub = cmdCheck
 	default:
-		usage()
+		fmt.Fprintln(stderr, usage)
+		return 2
 	}
+	err := sub(args[1:], stdout, stderr)
+	var ue usageError
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &ue):
+		if ue != "" {
+			fmt.Fprintln(stderr, "lockmon:", ue)
+		}
+		return 2
+	case !errors.Is(err, errReported):
+		fmt.Fprintln(stderr, "lockmon:", err)
+	}
+	return 1
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: lockmon serve|sample|doctor|profile [flags]
-       lockmon checkfmt FILE
-       lockmon profcheck FILE.pb.gz
-run "lockmon <subcommand> -h" for the subcommand's flags`)
-	os.Exit(2)
+// flagSet returns a subcommand's flag set, complaining to stderr.
+func flagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("lockmon "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
 }
 
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "lockmon:", err)
-	os.Exit(2)
+// parse parses args; a bad flag, already reported, is a usage error.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return usageError("")
+	}
+	return nil
 }
 
-// workloadFlags holds the shared workload shape shared by serve,
-// sample and doctor.
+// workloadFlags holds the workload shape shared by serve, sample,
+// doctor, profile and record.
 type workloadFlags struct {
 	lock      *string
 	indicator *string
@@ -151,11 +194,11 @@ func addWorkloadFlags(fs *flag.FlagSet) *workloadFlags {
 	}
 }
 
-// build creates the instrumented lock on m per the flags; extra
-// options (e.g. WithProfile) are appended.
-func (w *workloadFlags) build(m *ollock.Metrics, extra ...ollock.Option) ollock.Lock {
+// build creates the instrumented lock per the flags; extra options
+// (WithMetrics, WithProfile, WithTrace) are appended. A rejected
+// combination is a usage error.
+func (w *workloadFlags) build(extra ...ollock.Option) (ollock.Lock, error) {
 	opts := []ollock.Option{
-		ollock.WithMetrics(m),
 		ollock.WithStats(*w.lock),
 		ollock.WithIndicator(ollock.IndicatorKind(*w.indicator)),
 		ollock.WithWait(ollock.WaitMode(*w.wait)),
@@ -163,17 +206,20 @@ func (w *workloadFlags) build(m *ollock.Metrics, extra ...ollock.Option) ollock.
 	if *w.bias {
 		opts = append(opts, ollock.WithBias())
 	}
-	opts = append(opts, extra...)
-	l, err := ollock.New(ollock.Kind(*w.lock), *w.threads, opts...)
+	l, err := ollock.New(ollock.Kind(*w.lock), *w.threads, append(opts, extra...)...)
 	if err != nil {
-		die(err)
+		return nil, usageError(err.Error())
 	}
-	return l
+	return l, nil
 }
 
-// run drives the workload until stop is closed; returns after every
-// goroutine exits.
-func (w *workloadFlags) run(l ollock.Lock, stop <-chan struct{}) {
+// run drives the workload for d (until the process exits when d is 0)
+// and returns after every goroutine exits.
+func (w *workloadFlags) run(l ollock.Lock, d time.Duration) {
+	stop := make(chan struct{})
+	if d > 0 {
+		time.AfterFunc(d, func() { close(stop) })
+	}
 	var wg sync.WaitGroup
 	var sink atomic.Uint64
 	readFrac := *w.readPct / 100
@@ -210,43 +256,52 @@ func (w *workloadFlags) run(l ollock.Lock, stop <-chan struct{}) {
 	wg.Wait()
 }
 
-func cmdServe(args []string) {
-	fs := flag.NewFlagSet("lockmon serve", flag.ExitOnError)
+// writeOut renders write into memory, then writes the bytes to the file
+// at path, or to stdout for "" and "-". Rendering first means no writer
+// can drop a write or close error on the way out.
+func writeOut(path string, stdout io.Writer, write func(io.Writer) error) error {
+	var b bytes.Buffer
+	if err := write(&b); err != nil {
+		return err
+	}
+	if path == "" || path == "-" {
+		_, err := stdout.Write(b.Bytes())
+		return err
+	}
+	return os.WriteFile(path, b.Bytes(), 0o644)
+}
+
+func cmdServe(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("serve", stderr)
 	w := addWorkloadFlags(fs)
 	addr := fs.String("addr", ":9090", "listen address")
 	period := fs.Duration("period", time.Second, "sampling period")
 	duration := fs.Duration("duration", 0, "stop the workload after this long (0 = run until killed)")
 	debug := fs.Bool("debug", false, "attach a profiler and tracer and serve /debug/ollock/")
 	rate := fs.Int("rate", 8, "with -debug: profile one acquisition in this many per proc")
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 
-	var (
-		p     *ollock.Profiler
-		tr    *ollock.Tracer
-		extra []ollock.Option
-	)
+	var p *ollock.Profiler
+	var tr *ollock.Tracer
+	var extra []ollock.Option
+	mopts := []ollock.MetricsOption{ollock.MetricsPeriod(*period)}
 	if *debug {
 		p = ollock.NewProfiler(*rate)
 		tr = ollock.NewTracer(0)
 		extra = append(extra,
 			ollock.WithProfile(p.Register(*w.lock)),
 			ollock.WithTrace(tr.Register(*w.lock)))
-	}
-	mopts := []ollock.MetricsOption{ollock.MetricsPeriod(*period)}
-	if p != nil {
 		mopts = append(mopts, ollock.MetricsProfiler(p))
 	}
 	m := ollock.NewMetrics(mopts...)
-	l := w.build(m, extra...)
-	m.Start()
-	stop := make(chan struct{})
-	go w.run(l, stop)
-	if *duration > 0 {
-		go func() {
-			time.Sleep(*duration)
-			close(stop)
-		}()
+	l, err := w.build(append(extra, ollock.WithMetrics(m))...)
+	if err != nil {
+		return err
 	}
+	m.Start()
+	go w.run(l, *duration)
 
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", m.Handler())
@@ -262,95 +317,61 @@ func cmdServe(args []string) {
 		mux.Handle("/debug/ollock/", ollock.DebugHandler(p, m, tr))
 		surfaces += ", /debug/ollock/"
 	}
-	fmt.Fprintf(os.Stderr, "lockmon: serving %s on %s (lock=%s threads=%d readpct=%g)\n",
+	fmt.Fprintf(stderr, "lockmon: serving %s on %s (lock=%s threads=%d readpct=%g)\n",
 		surfaces, *addr, *w.lock, *w.threads, *w.readPct)
-	if err := http.ListenAndServe(*addr, mux); err != nil {
-		die(err)
-	}
+	return http.ListenAndServe(*addr, mux)
 }
 
-func cmdSample(args []string) {
-	fs := flag.NewFlagSet("lockmon sample", flag.ExitOnError)
+func cmdSample(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("sample", stderr)
 	w := addWorkloadFlags(fs)
 	period := fs.Duration("period", 100*time.Millisecond, "sampling period")
 	duration := fs.Duration("duration", 2*time.Second, "workload duration")
 	format := fs.String("format", "text", "output format: prom, json or text")
 	out := fs.String("o", "", "write to this file instead of stdout")
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 
 	m := ollock.NewMetrics(ollock.MetricsPeriod(*period))
-	l := w.build(m)
-	m.Start()
-	stop := make(chan struct{})
-	go func() {
-		time.Sleep(*duration)
-		close(stop)
-	}()
-	w.run(l, stop)
-	m.Stop()
-	m.Sample() // final point so the last partial period is covered
-
-	dst := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			die(err)
-		}
-		defer f.Close()
-		dst = f
+	l, err := w.build(ollock.WithMetrics(m))
+	if err != nil {
+		return err
 	}
+	var write func(io.Writer) error
 	switch *format {
 	case "prom":
-		if err := m.WritePrometheus(dst); err != nil {
-			die(err)
-		}
+		write = m.WritePrometheus
 	case "json":
-		rec := httpDump{m: m}
-		if err := rec.writeJSON(dst); err != nil {
-			die(err)
+		write = func(dst io.Writer) error {
+			req, _ := http.NewRequest("GET", "/metrics.json", nil)
+			req.Header.Set("Accept", "application/json")
+			m.Handler().ServeHTTP(bodyWriter{dst}, req)
+			return nil
 		}
 	case "text":
-		printSummary(dst, l, m)
+		write = func(dst io.Writer) error { printSummary(dst, l, m); return nil }
 	default:
-		die(fmt.Errorf("unknown -format %q", *format))
+		return usageError(fmt.Sprintf("unknown -format %q", *format))
 	}
+	m.Start()
+	w.run(l, *duration)
+	m.Stop()
+	m.Sample() // final point so the last partial period is covered
+	return writeOut(*out, stdout, write)
 }
 
-// httpDump adapts the handler's JSON view for file output without
-// spinning up a server.
-type httpDump struct{ m *ollock.Metrics }
+// bodyWriter is an http.ResponseWriter that keeps only the body, so the
+// metrics handler's JSON view can be written without a server.
+type bodyWriter struct{ io.Writer }
 
-func (h httpDump) writeJSON(dst *os.File) error {
-	req, _ := http.NewRequest("GET", "/metrics.json", nil)
-	req.Header.Set("Accept", "application/json")
-	rw := &fileResponse{f: dst, hdr: http.Header{}}
-	h.m.Handler().ServeHTTP(rw, req)
-	return rw.err
-}
-
-type fileResponse struct {
-	f   *os.File
-	hdr http.Header
-	err error
-}
-
-func (r *fileResponse) Header() http.Header { return r.hdr }
-func (r *fileResponse) WriteHeader(int)     {}
-func (r *fileResponse) Write(p []byte) (int, error) {
-	n, err := r.f.Write(p)
-	if err != nil && r.err == nil {
-		r.err = err
-	}
-	return n, err
-}
+func (bodyWriter) Header() http.Header { return http.Header{} }
+func (bodyWriter) WriteHeader(int)     {}
 
 // printSummary renders the human view: final counters, wait histograms,
 // and the doctor's opinion.
-func printSummary(dst *os.File, l ollock.Lock, m *ollock.Metrics) {
-	sn, ok := ollock.SnapshotOf(l)
-	if !ok {
-		die(fmt.Errorf("lock has no instrumentation"))
-	}
+func printSummary(dst io.Writer, l ollock.Lock, m *ollock.Metrics) {
+	sn, _ := ollock.SnapshotOf(l) // build always instruments
 	fmt.Fprintf(dst, "samples: %d\n\ncounters:\n", m.Samples())
 	for _, name := range sn.Names() {
 		if sn.Counters[name] != 0 {
@@ -371,46 +392,47 @@ func printSummary(dst *os.File, l ollock.Lock, m *ollock.Metrics) {
 	fmt.Fprintf(dst, "\n%s\n", ollock.DoctorReport(m.Diagnose(0)))
 }
 
-func cmdDoctor(args []string) {
-	fs := flag.NewFlagSet("lockmon doctor", flag.ExitOnError)
+func cmdDoctor(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("doctor", stderr)
 	w := addWorkloadFlags(fs)
 	period := fs.Duration("period", 100*time.Millisecond, "sampling period")
 	duration := fs.Duration("duration", 2*time.Second, "workload duration")
 	scenario := fs.String("scenario", "", `evaluate a scripted scenario instead of running a workload ("list" to enumerate)`)
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 
 	var findings []ollock.Finding
-	if *scenario != "" {
-		if *scenario == "list" {
-			fmt.Println(strings.Join(doctor.ScenarioNames(), "\n"))
-			return
-		}
-		windows, err := doctor.Scenario(*scenario)
-		if err != nil {
-			die(err)
-		}
-		findings = doctor.Diagnose(doctor.DefaultConfig(), windows)
-	} else {
+	switch *scenario {
+	case "list":
+		fmt.Fprintln(stdout, strings.Join(doctor.ScenarioNames(), "\n"))
+		return nil
+	case "":
 		m := ollock.NewMetrics(ollock.MetricsPeriod(*period))
-		l := w.build(m)
+		l, err := w.build(ollock.WithMetrics(m))
+		if err != nil {
+			return err
+		}
 		m.Start()
-		stop := make(chan struct{})
-		go func() {
-			time.Sleep(*duration)
-			close(stop)
-		}()
-		w.run(l, stop)
+		w.run(l, *duration)
 		m.Stop()
 		findings = m.Diagnose(0)
+	default:
+		windows, err := doctor.Scenario(*scenario)
+		if err != nil {
+			return usageError(err.Error())
+		}
+		findings = doctor.Diagnose(doctor.DefaultConfig(), windows)
 	}
-	fmt.Println(ollock.DoctorReport(findings))
+	fmt.Fprintln(stdout, ollock.DoctorReport(findings))
 	if len(findings) > 0 {
-		os.Exit(1)
+		return errReported
 	}
+	return nil
 }
 
-func cmdProfile(args []string) {
-	fs := flag.NewFlagSet("lockmon profile", flag.ExitOnError)
+func cmdProfile(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("profile", stderr)
 	w := addWorkloadFlags(fs)
 	rate := fs.Int("rate", 8, "profile one acquisition in this many per proc")
 	duration := fs.Duration("duration", 2*time.Second, "workload duration")
@@ -418,18 +440,18 @@ func cmdProfile(args []string) {
 	out := fs.String("o", "", "write the pprof protobuf profile to this file")
 	folded := fs.String("folded", "", "write folded flamegraph stacks to this file")
 	holds := fs.Bool("holds", false, "export the hold metric instead of contention")
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 
 	p := ollock.NewProfiler(*rate)
 	m := ollock.NewMetrics(ollock.MetricsProfiler(p))
-	l := w.build(m, ollock.WithProfile(p.Register(*w.lock)))
+	l, err := w.build(ollock.WithMetrics(m), ollock.WithProfile(p.Register(*w.lock)))
+	if err != nil {
+		return err
+	}
 	m.Start()
-	stop := make(chan struct{})
-	go func() {
-		time.Sleep(*duration)
-		close(stop)
-	}()
-	w.run(l, stop)
+	w.run(l, *duration)
 	m.Stop()
 
 	metric := ollock.ProfileContention
@@ -437,38 +459,25 @@ func cmdProfile(args []string) {
 		metric = ollock.ProfileHold
 	}
 	snap := p.Profile()
-	printProfileTop(snap, metric, *top)
+	printProfileTop(stdout, snap, metric, *top)
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			die(err)
+		if err := writeOut(*out, stdout, func(dst io.Writer) error { return snap.WriteProfile(dst, metric) }); err != nil {
+			return err
 		}
-		if err := snap.WriteProfile(f, metric); err != nil {
-			die(err)
-		}
-		if err := f.Close(); err != nil {
-			die(err)
-		}
-		fmt.Fprintf(os.Stderr, "lockmon: wrote %s profile to %s\n", metric, *out)
+		fmt.Fprintf(stderr, "lockmon: wrote %s profile to %s\n", metric, *out)
 	}
 	if *folded != "" {
-		f, err := os.Create(*folded)
-		if err != nil {
-			die(err)
+		if err := writeOut(*folded, stdout, func(dst io.Writer) error { return snap.WriteFolded(dst, metric) }); err != nil {
+			return err
 		}
-		if err := snap.WriteFolded(f, metric); err != nil {
-			die(err)
-		}
-		if err := f.Close(); err != nil {
-			die(err)
-		}
-		fmt.Fprintf(os.Stderr, "lockmon: wrote folded stacks to %s\n", *folded)
+		fmt.Fprintf(stderr, "lockmon: wrote folded stacks to %s\n", *folded)
 	}
+	return nil
 }
 
 // printProfileTop renders the hottest call sites, one line per record,
 // ordered by the chosen metric's time value.
-func printProfileTop(snap *ollock.ProfileSnapshot, metric ollock.ProfileMetric, top int) {
+func printProfileTop(dst io.Writer, snap *ollock.ProfileSnapshot, metric ollock.ProfileMetric, top int) {
 	recs := make([]ollock.ProfileRecord, len(snap.Records))
 	copy(recs, snap.Records)
 	value := func(r ollock.ProfileRecord) (count, ns uint64) {
@@ -482,9 +491,9 @@ func printProfileTop(snap *ollock.ProfileSnapshot, metric ollock.ProfileMetric, 
 		_, b := value(recs[j])
 		return a > b
 	})
-	fmt.Printf("%s profile: rate=1/%d records=%d dropped=%d\n\n",
+	fmt.Fprintf(dst, "%s profile: rate=1/%d records=%d dropped=%d\n\n",
 		metric, snap.Rate, len(recs), snap.Dropped)
-	fmt.Printf("  %12s %14s  %s\n", "count", "time", "call site")
+	fmt.Fprintf(dst, "  %12s %14s  %s\n", "count", "time", "call site")
 	n := 0
 	for _, r := range recs {
 		count, ns := value(r)
@@ -492,7 +501,7 @@ func printProfileTop(snap *ollock.ProfileSnapshot, metric ollock.ProfileMetric, 
 			continue
 		}
 		site := r.Site()
-		fmt.Printf("  %12d %14s  %s %s:%d (lock=%s)\n",
+		fmt.Fprintf(dst, "  %12d %14s  %s %s:%d (lock=%s)\n",
 			count, time.Duration(ns), site.Func, filepath.Base(site.File), site.Line, r.Lock)
 		n++
 		if n >= top {
@@ -500,52 +509,191 @@ func printProfileTop(snap *ollock.ProfileSnapshot, metric ollock.ProfileMetric, 
 		}
 	}
 	if n == 0 {
-		fmt.Println("  (no samples — longer -duration, lower -rate, or more contention needed)")
+		fmt.Fprintln(dst, "  (no samples — longer -duration, lower -rate, or more contention needed)")
 	}
 }
 
-func cmdProfcheck(args []string) {
+func cmdRecord(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("record", stderr)
+	w := addWorkloadFlags(fs)
+	duration := fs.Duration("duration", time.Second, "workload duration")
+	events := fs.Int("events", 0, "flight-recorder ring capacity per proc (0 = default)")
+	out := fs.String("out", "trace.json", "recording file (- for stdout)")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+
+	tracer := ollock.NewTracer(*events)
+	l, err := w.build(ollock.WithTrace(tracer.Register(*w.lock)))
+	if err != nil {
+		return err
+	}
+	w.run(l, *duration)
+	rec := tracer.Record()
+	if err := writeOut(*out, stdout, rec.WriteJSON); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "lockmon: recorded %d events of %s\n", len(rec.Events), *w.lock)
+	return nil
+}
+
+// readRecording decodes the one recording file args names ("-" reads
+// standard input).
+func readRecording(args []string) ([]trace.Event, func(uint16) string, error) {
 	if len(args) != 1 {
-		usage()
+		return nil, nil, usageError("want exactly one recording file")
 	}
-	data, err := os.ReadFile(args[0])
+	r := io.Reader(os.Stdin)
+	if args[0] != "-" {
+		f, err := os.Open(args[0])
+		if err != nil {
+			return nil, nil, err
+		}
+		defer f.Close()
+		r = f
+	}
+	rec, err := trace.ReadRecording(r)
 	if err != nil {
-		die(err)
+		return nil, nil, err
 	}
-	parsed, err := prof.Parse(data)
+	return rec.Decode()
+}
+
+func cmdExport(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("export", stderr)
+	out := fs.String("out", "-", "output Chrome trace file (- for stdout)")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	evs, lockName, err := readRecording(fs.Args())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lockmon: %s: %v\n", args[0], err)
-		os.Exit(1)
+		return err
 	}
-	schema := make([]string, 0, len(parsed.SampleTypes))
-	for _, vt := range parsed.SampleTypes {
-		schema = append(schema, vt.Type+"/"+vt.Unit)
+	return writeOut(*out, stdout, func(dst io.Writer) error { return trace.WriteChromeTrace(dst, evs, lockName) })
+}
+
+func cmdTop(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("top", stderr)
+	if err := parse(fs, args); err != nil {
+		return err
 	}
-	want := strings.Join(schema, " ")
-	switch want {
-	case "contentions/count delay/nanoseconds", "holds/count held/nanoseconds":
+	evs, lockName, err := readRecording(fs.Args())
+	if err != nil {
+		return err
+	}
+	trace.Fold(evs, lockName).WriteTop(stdout)
+	return nil
+}
+
+func cmdWatch(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("watch", stderr)
+	lock := fs.String("lock", "goll", "lock kind to wedge: "+kindList())
+	indicator := fs.String("indicator", "sharded", "read indicator: csnzi, central or sharded")
+	threads := fs.Int("threads", 4, "readers to pile up behind the held write lock")
+	threshold := fs.Duration("threshold", 50*time.Millisecond, "stall threshold")
+	hold := fs.Duration("hold", 500*time.Millisecond, "how long the writer wedges the lock")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+
+	tracer := ollock.NewTracer(0)
+	l, err := ollock.New(ollock.Kind(*lock), *threads+1,
+		ollock.WithTrace(tracer.Register(*lock)),
+		ollock.WithIndicator(ollock.IndicatorKind(*indicator)))
+	if err != nil {
+		return usageError(err.Error())
+	}
+	// Wedge the lock while readers queue up; until wd.Stop only the
+	// watchdog writes to stdout.
+	writer := l.NewProc()
+	writer.Lock()
+	fmt.Fprintf(stdout, "lockmon: writer holding %s for %v; %d readers piling up\n", *lock, *hold, *threads)
+	wd := ollock.NewTraceWatchdog(tracer, *threshold, stdout)
+	wd.Start()
+	var wg sync.WaitGroup
+	for i := 0; i < *threads; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := l.NewProc()
+			p.RLock()
+			p.RUnlock()
+		}()
+	}
+	time.Sleep(*hold)
+	wd.Stop()
+	stalls := wd.CheckNow() // reports a stall that crossed the threshold since the last tick
+	writer.Unlock()
+	wg.Wait()
+	fmt.Fprintf(stdout, "lockmon: %d procs stalled when the writer released %s\n", len(stalls), *lock)
+	return nil
+}
+
+func cmdCheck(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("check", stderr)
+	schema := fs.String("schema", "TRACE_events.schema.json", "JSON schema the JSON files must conform to")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	if fs.NArg() == 0 {
+		return usageError("check: want one or more files")
+	}
+	var failed error
+	for _, path := range fs.Args() {
+		verdict, err := checkFile(path, *schema)
+		if err != nil {
+			fmt.Fprintf(stderr, "lockmon: %s: %v\n", path, err)
+			failed = errReported
+			continue
+		}
+		fmt.Fprintf(stdout, "%s: %s\n", path, verdict)
+	}
+	return failed
+}
+
+// checkFile validates one file in the format its first bytes announce.
+func checkFile(path, schemaPath string) (string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return "", err
+	}
+	switch {
+	case bytes.HasPrefix(data, []byte{0x1f, 0x8b}): // gzip magic
+		parsed, err := prof.Parse(data)
+		if err != nil {
+			return "", err
+		}
+		schema := make([]string, 0, len(parsed.SampleTypes))
+		for _, vt := range parsed.SampleTypes {
+			schema = append(schema, vt.Type+"/"+vt.Unit)
+		}
+		got := strings.Join(schema, " ")
+		switch got {
+		case "contentions/count delay/nanoseconds", "holds/count held/nanoseconds":
+		default:
+			return "", fmt.Errorf("unexpected sample schema %q", got)
+		}
+		if len(parsed.Samples) == 0 {
+			return "", errors.New("profile has no samples")
+		}
+		return fmt.Sprintf("valid pprof profile (%s, %d samples)", got, len(parsed.Samples)), nil
+	case bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("{")):
+		raw, err := os.ReadFile(schemaPath)
+		if err != nil {
+			return "", err
+		}
+		var schema jsonschema.Schema
+		if err := json.Unmarshal(raw, &schema); err != nil {
+			return "", fmt.Errorf("%s: %w", schemaPath, err)
+		}
+		if err := jsonschema.ValidateBytes(&schema, data); err != nil {
+			return "", err
+		}
+		return "conforms to " + schemaPath, nil
 	default:
-		fmt.Fprintf(os.Stderr, "lockmon: %s: unexpected sample schema %q\n", args[0], want)
-		os.Exit(1)
+		if err := metrics.ValidateExposition(data); err != nil {
+			return "", err
+		}
+		return "valid Prometheus exposition", nil
 	}
-	if len(parsed.Samples) == 0 {
-		fmt.Fprintf(os.Stderr, "lockmon: %s: profile has no samples\n", args[0])
-		os.Exit(1)
-	}
-	fmt.Printf("%s: valid pprof profile (%s, %d samples)\n", args[0], want, len(parsed.Samples))
-}
-
-func cmdCheckfmt(args []string) {
-	if len(args) != 1 {
-		usage()
-	}
-	data, err := os.ReadFile(args[0])
-	if err != nil {
-		die(err)
-	}
-	if err := metrics.ValidateExposition(data); err != nil {
-		fmt.Fprintf(os.Stderr, "lockmon: %s: %v\n", args[0], err)
-		os.Exit(1)
-	}
-	fmt.Printf("%s: valid Prometheus exposition\n", args[0])
 }

@@ -13,7 +13,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,7 +68,7 @@ func (c chaosCombo) String() string {
 // chaosTorture runs the full matrix; it reports whether every cell
 // passed. Each cell gets a distinct derived seed so a failure report
 // names the exact schedule to replay.
-func chaosTorture(threads, ops int, seed uint64, timeout time.Duration) bool {
+func chaosTorture(stdout io.Writer, threads, ops int, seed uint64, timeout time.Duration) bool {
 	ok := true
 	for i, c := range chaosMatrix() {
 		cellSeed := seed + uint64(i)*0x9E3779B97F4A7C15
@@ -78,7 +78,7 @@ func chaosTorture(threads, ops int, seed uint64, timeout time.Duration) bool {
 			status = "FAILED: " + res
 			ok = false
 		}
-		fmt.Printf("chaos %-24s seed=%-20d %s\n", c, cellSeed, status)
+		fmt.Fprintf(stdout, "chaos %-24s seed=%-20d %s\n", c, cellSeed, status)
 	}
 	return ok
 }
@@ -256,12 +256,4 @@ func runChaosCell(c chaosCombo, threads, ops int, seed uint64, timeout time.Dura
 		return "chaos injector never fired (seam unplugged?)"
 	}
 	return ""
-}
-
-// chaosMain is the -chaos entry point; it exits the process.
-func chaosMain(threads, ops int, seed uint64, timeout time.Duration) {
-	if !chaosTorture(threads, ops, seed, timeout) {
-		os.Exit(1)
-	}
-	os.Exit(0)
 }

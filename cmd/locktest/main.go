@@ -7,14 +7,17 @@
 // Usage:
 //
 //	locktest [-lock goll|foll|roll|...|all] [-threads N] [-ops N]
-//	         [-readpct 0..100] [-seed N] [-upgrade]
+//	         [-readpct 0..100] [-seed N] [-upgrade] [-latency]
+//	locktest -chaos [-threads N] [-ops N] [-seed N] [-chaos-timeout D]
 //
-// Exits nonzero if any violation is detected.
+// Every result line carries the seed, so a failure replays with -seed.
+// Exits 1 if any violation is detected, 2 on usage errors.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -26,27 +29,37 @@ import (
 	"ollock/internal/xrand"
 )
 
-func main() {
-	lockFlag := flag.String("lock", "all", "lock to test (see -list) or all")
-	threads := flag.Int("threads", 16, "concurrent goroutines")
-	ops := flag.Int("ops", 50000, "operations per goroutine")
-	readPct := flag.Float64("readpct", 90, "percentage of read acquisitions")
-	seed := flag.Uint64("seed", uint64(time.Now().UnixNano()), "PRNG seed")
-	upgrade := flag.Bool("upgrade", false, "also exercise TryUpgrade/Downgrade on locks that support it")
-	latency := flag.Bool("latency", false, "also report per-kind acquisition latency")
-	list := flag.Bool("list", false, "list available locks and exit")
-	chaosRun := flag.Bool("chaos", false, "run the chaos cancellation torture matrix (every cancellable kind x indicator x wait policy under fault injection) and exit")
-	chaosTimeout := flag.Duration("chaos-timeout", 2*time.Minute, "per-cell watchdog for -chaos")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: arguments in, output and exit status out.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("locktest", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	lockFlag := fs.String("lock", "all", "lock to test (see -list) or all")
+	threads := fs.Int("threads", 16, "concurrent goroutines")
+	ops := fs.Int("ops", 50000, "operations per goroutine")
+	readPct := fs.Float64("readpct", 90, "percentage of read acquisitions")
+	seed := fs.Uint64("seed", uint64(time.Now().UnixNano()), "PRNG seed (printed on every result line)")
+	upgrade := fs.Bool("upgrade", false, "also exercise TryUpgrade/Downgrade on locks that support it")
+	latency := fs.Bool("latency", false, "also report per-kind acquisition latency")
+	list := fs.Bool("list", false, "list available locks and exit")
+	chaosRun := fs.Bool("chaos", false, "run the chaos cancellation torture matrix (every cancellable kind x indicator x wait policy under fault injection) and exit")
+	chaosTimeout := fs.Duration("chaos-timeout", 2*time.Minute, "per-cell watchdog for -chaos")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *chaosRun {
-		chaosMain(*threads, *ops, *seed, *chaosTimeout)
+		if !chaosTorture(stdout, *threads, *ops, *seed, *chaosTimeout) {
+			return 1
+		}
+		return 0
 	}
 	if *list {
 		for _, impl := range locksuite.Locks {
-			fmt.Println(impl.Name)
+			fmt.Fprintln(stdout, impl.Name)
 		}
-		return
+		return 0
 	}
 	var impls []locksuite.Impl
 	if *lockFlag == "all" {
@@ -55,24 +68,24 @@ func main() {
 		for _, name := range strings.Split(*lockFlag, ",") {
 			impl := locksuite.ByName(strings.TrimSpace(name))
 			if impl == nil {
-				fmt.Fprintf(os.Stderr, "locktest: unknown lock %q (use -list)\n", name)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "locktest: unknown lock %q (use -list)\n", name)
+				return 2
 			}
 			impls = append(impls, *impl)
 		}
 	}
 
-	failed := false
+	code := 0
 	for _, impl := range impls {
 		violations, elapsed := stress(impl, *threads, *ops, *readPct/100, *seed, *upgrade)
 		status := "ok"
 		if violations != 0 {
 			status = fmt.Sprintf("FAILED (%d violations)", violations)
-			failed = true
+			code = 1
 		}
 		total := float64(*threads) * float64(*ops)
-		fmt.Printf("%-14s %8d goroutines x %d ops (%.0f%% reads): %-28s %.2e acq/s\n",
-			impl.Name, *threads, *ops, *readPct, status, total/elapsed.Seconds())
+		fmt.Fprintf(stdout, "%-14s %8d goroutines x %d ops (%.0f%% reads) seed=%d: %-28s %.2e acq/s\n",
+			impl.Name, *threads, *ops, *readPct, *seed, status, total/elapsed.Seconds())
 		if *latency {
 			lr := harness.RunLatency(harness.Config{
 				Impl:         impl,
@@ -81,14 +94,12 @@ func main() {
 				OpsPerThread: *ops / 5,
 				Seed:         *seed,
 			})
-			fmt.Printf("%-14s   latency: read mean %v p50 %v p99 %v max %v | write mean %v p50 %v p99 %v max %v\n",
+			fmt.Fprintf(stdout, "%-14s   latency: read mean %v p50 %v p99 %v max %v | write mean %v p50 %v p99 %v max %v\n",
 				"", lr.Read.Mean, lr.Read.P50, lr.Read.P99, lr.Read.Max,
 				lr.Write.Mean, lr.Write.P50, lr.Write.P99, lr.Write.Max)
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return code
 }
 
 func stress(impl locksuite.Impl, threads, ops int, readFrac float64, seed uint64, upgrade bool) (int64, time.Duration) {

@@ -24,9 +24,7 @@ import (
 	"ollock/internal/sim/simlock"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command: arguments in, output and exit status out.
 func run(args []string, stdout, stderr io.Writer) int {

@@ -35,9 +35,7 @@ var panels = map[string]float64{
 
 var panelOrder = []string{"a", "b", "c", "d", "e", "f"}
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command: arguments in, output and exit status out.
 func run(args []string, stdout, stderr io.Writer) int {

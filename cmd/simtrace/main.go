@@ -18,27 +18,45 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"ollock/internal/sim"
 	"ollock/internal/sim/simlock"
 	"ollock/internal/xrand"
 )
 
-func main() {
-	lockName := flag.String("lock", "roll", "lock to trace (goll|foll|roll|ksuh|solaris|mcs-rw|hsieh|central)")
-	threads := flag.Int("threads", 3, "simulated threads")
-	ops := flag.Int("ops", 2, "acquisitions per thread")
-	readPct := flag.Float64("readpct", 50, "percentage of read acquisitions")
-	seed := flag.Uint64("seed", 1, "PRNG seed")
-	max := flag.Int("max", 400, "maximum events to print (0 = unlimited)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// lockNames lists the simulated locks -lock accepts, from the registry.
+func lockNames() string {
+	names := make([]string, len(simlock.Locks))
+	for i, f := range simlock.Locks {
+		names[i] = f.Name
+	}
+	return strings.Join(names, ", ")
+}
+
+// run is the command: arguments in, output and exit status out.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("simtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	lockName := fs.String("lock", "roll", "lock to trace: "+lockNames())
+	threads := fs.Int("threads", 3, "simulated threads")
+	ops := fs.Int("ops", 2, "acquisitions per thread")
+	readPct := fs.Float64("readpct", 50, "percentage of read acquisitions")
+	seed := fs.Uint64("seed", 1, "PRNG seed")
+	max := fs.Int("max", 400, "maximum events to print (0 = unlimited)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	f := simlock.ByName(*lockName)
 	if f == nil {
-		fmt.Fprintf(os.Stderr, "simtrace: unknown lock %q\n", *lockName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "simtrace: unknown lock %q; have %s\n", *lockName, lockNames())
+		return 2
 	}
 
 	cfg := sim.T5440()
@@ -54,12 +72,12 @@ func main() {
 		printed++
 		switch e.Kind {
 		case sim.EvSpinWake:
-			fmt.Printf("%8d  t%-3d %-5s w%-4d = %-6d (by t%d)\n",
+			fmt.Fprintf(stdout, "%8d  t%-3d %-5s w%-4d = %-6d (by t%d)\n",
 				e.Time, e.Thread, e.Kind, e.Word, e.Value, e.Waker)
 		case sim.EvWork:
-			fmt.Printf("%8d  t%-3d %-5s %d cycles\n", e.Time, e.Thread, e.Kind, e.Value)
+			fmt.Fprintf(stdout, "%8d  t%-3d %-5s %d cycles\n", e.Time, e.Thread, e.Kind, e.Value)
 		default:
-			fmt.Printf("%8d  t%-3d %-5s w%-4d = %d\n", e.Time, e.Thread, e.Kind, e.Word, e.Value)
+			fmt.Fprintf(stdout, "%8d  t%-3d %-5s w%-4d = %d\n", e.Time, e.Thread, e.Kind, e.Word, e.Value)
 		}
 	})
 
@@ -103,15 +121,15 @@ func main() {
 	}
 	cycles := m.Run()
 	if truncated {
-		fmt.Printf("... trace truncated at %d events (-max)\n", *max)
+		fmt.Fprintf(stdout, "... trace truncated at %d events (-max)\n", *max)
 	}
-	fmt.Printf("done: %s, %d threads x %d ops, %d virtual cycles, %d scheduler steps, %d words\n",
+	fmt.Fprintf(stdout, "done: %s, %d threads x %d ops, %d virtual cycles, %d scheduler steps, %d words\n",
 		f.Name, *threads, *ops, cycles, m.Steps(), m.Words())
 	if st := simlock.StatsOf(l); st != nil {
 		sn := st.Snapshot()
-		fmt.Println("counters:")
+		fmt.Fprintln(stdout, "counters:")
 		for _, name := range sn.Names() {
-			fmt.Printf("  %-24s %d\n", name, sn.Counters[name])
+			fmt.Fprintf(stdout, "  %-24s %d\n", name, sn.Counters[name])
 		}
 		hists := make([]string, 0, len(sn.Hists))
 		for name := range sn.Hists {
@@ -120,12 +138,13 @@ func main() {
 		sort.Strings(hists)
 		for _, name := range hists {
 			h := sn.Hists[name]
-			fmt.Printf("  %-24s count=%d p50=%d p99=%d max=%d (cycles)\n",
+			fmt.Fprintf(stdout, "  %-24s count=%d p50=%d p99=%d max=%d (cycles)\n",
 				name, h.Count, h.P50, h.P99, h.Max)
 		}
 	}
 	if violations != 0 {
-		fmt.Fprintf(os.Stderr, "simtrace: %d exclusion invariant violations\n", violations)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "simtrace: %d exclusion invariant violations\n", violations)
+		return 1
 	}
+	return 0
 }

@@ -12,9 +12,6 @@
 package harness
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -73,29 +70,9 @@ func Run(cfg Config) Result {
 	return res
 }
 
+// oneRun times one run of cfg on a fresh lock; run salts the seeds.
 func oneRun(cfg Config, run uint64) float64 {
-	return oneRunOn(cfg, cfg.Impl.New(cfg.Threads), run)
-}
-
-// RunOn executes one run of the cfg workload against an
-// already-constructed lock (mk makes the per-goroutine Procs),
-// returning the throughput. For tools that must keep hold of the lock
-// instance — cmd/locktrace drives a traced lock this way and then
-// snapshots its flight recorder. cfg.Impl and cfg.Runs are ignored.
-func RunOn(cfg Config, mk locksuite.ProcMaker) float64 {
-	if cfg.Threads <= 0 || cfg.OpsPerThread <= 0 {
-		panic("harness: Threads and OpsPerThread must be positive")
-	}
-	return oneRunOn(cfg, mk, 0)
-}
-
-// oneRunWith times one run against an already-constructed lock (used
-// by RunInstrumented, which needs the instance to read its counters).
-func oneRunWith(cfg Config, mk locksuite.ProcMaker) float64 {
-	return oneRunOn(cfg, mk, 0)
-}
-
-func oneRunOn(cfg Config, mk locksuite.ProcMaker, run uint64) float64 {
+	mk := cfg.Impl.New(cfg.Threads)
 	var ready, done sync.WaitGroup
 	startGate := make(chan struct{})
 	ready.Add(cfg.Threads)
@@ -217,131 +194,4 @@ func RunLatency(cfg Config) LatencyResult {
 	out.Read = fold(readH)
 	out.Write = fold(writeH)
 	return out
-}
-
-// InstrumentedResult extends Result with the lock's internal counter
-// Snapshot (empty for kinds without instrumentation).
-type InstrumentedResult struct {
-	Result
-	Snapshot obs.Snapshot
-}
-
-// RunInstrumented executes one run with the lock's obs instrumentation
-// attached and returns its counter Snapshot alongside the throughput.
-// One lock instance serves the whole measurement (cfg.Runs is
-// ignored), so the snapshot covers exactly the reported operations.
-// Kinds without a NewStats constructor run uninstrumented and return
-// an empty snapshot.
-func RunInstrumented(cfg Config) InstrumentedResult {
-	if cfg.Threads <= 0 || cfg.OpsPerThread <= 0 {
-		panic("harness: Threads and OpsPerThread must be positive")
-	}
-	var mk locksuite.ProcMaker
-	var st *obs.Stats
-	if cfg.Impl.NewStats != nil {
-		mk, st = cfg.Impl.NewStats(cfg.Threads)
-	} else {
-		mk = cfg.Impl.New(cfg.Threads)
-	}
-	out := InstrumentedResult{Result: Result{Config: cfg}}
-	begin := time.Now()
-	out.PerRun = []float64{oneRunWith(cfg, mk)}
-	out.Elapsed = time.Since(begin)
-	out.Throughput = out.PerRun[0]
-	out.Snapshot = st.Snapshot()
-	return out
-}
-
-// Point is one (threads, throughput) sample of a sweep.
-type Point struct {
-	Threads    int
-	Throughput float64
-}
-
-// Series is a lock's throughput curve across thread counts — one line of
-// a Figure 5 panel.
-type Series struct {
-	Lock   string
-	Points []Point
-}
-
-// Sweep measures impl at every thread count in threads.
-func Sweep(impl locksuite.Impl, threads []int, readFraction float64, opsPerThread, runs int, seed uint64) Series {
-	s := Series{Lock: impl.Name}
-	for _, n := range threads {
-		r := Run(Config{
-			Impl:         impl,
-			Threads:      n,
-			ReadFraction: readFraction,
-			OpsPerThread: opsPerThread,
-			Runs:         runs,
-			Seed:         seed,
-		})
-		s.Points = append(s.Points, Point{Threads: n, Throughput: r.Throughput})
-	}
-	return s
-}
-
-// Panel is a full Figure 5 panel: every lock's curve at one read
-// fraction.
-type Panel struct {
-	ReadFraction float64
-	Series       []Series
-}
-
-// WriteTable renders the panel as an aligned text table, thread counts
-// as rows and locks as columns, mirroring how the paper's plots are
-// read.
-func (p Panel) WriteTable(w io.Writer) error {
-	threadSet := map[int]bool{}
-	for _, s := range p.Series {
-		for _, pt := range s.Points {
-			threadSet[pt.Threads] = true
-		}
-	}
-	threads := make([]int, 0, len(threadSet))
-	for n := range threadSet {
-		threads = append(threads, n)
-	}
-	sort.Ints(threads)
-
-	if _, err := fmt.Fprintf(w, "read%% = %g\n%-8s", p.ReadFraction*100, "threads"); err != nil {
-		return err
-	}
-	for _, s := range p.Series {
-		if _, err := fmt.Fprintf(w, " %14s", s.Lock); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	for _, n := range threads {
-		if _, err := fmt.Fprintf(w, "%-8d", n); err != nil {
-			return err
-		}
-		for _, s := range p.Series {
-			v := lookup(s, n)
-			if v < 0 {
-				if _, err := fmt.Fprintf(w, " %14s", "-"); err != nil {
-					return err
-				}
-			} else if _, err := fmt.Fprintf(w, " %14.3e", v); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func lookup(s Series, threads int) float64 {
-	for _, pt := range s.Points {
-		if pt.Threads == threads {
-			return pt.Throughput
-		}
-	}
-	return -1
 }

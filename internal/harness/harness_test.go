@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
 	"ollock/internal/locksuite"
@@ -55,49 +54,6 @@ func TestRunPanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	Run(Config{Impl: locksuite.Locks[0], Threads: 0, OpsPerThread: 1})
-}
-
-func TestSweepShape(t *testing.T) {
-	impl := implByName(t, "roll")
-	s := Sweep(impl, []int{1, 2, 4}, 0.99, 200, 1, 7)
-	if s.Lock != "roll" {
-		t.Fatalf("series lock = %q", s.Lock)
-	}
-	if len(s.Points) != 3 {
-		t.Fatalf("got %d points, want 3", len(s.Points))
-	}
-	for i, pt := range s.Points {
-		if pt.Throughput <= 0 {
-			t.Fatalf("point %d throughput %v", i, pt.Throughput)
-		}
-	}
-	if s.Points[0].Threads != 1 || s.Points[2].Threads != 4 {
-		t.Fatal("thread counts out of order")
-	}
-}
-
-func TestPanelWriteTable(t *testing.T) {
-	p := Panel{
-		ReadFraction: 0.99,
-		Series: []Series{
-			{Lock: "goll", Points: []Point{{1, 1e6}, {2, 2e6}}},
-			{Lock: "roll", Points: []Point{{1, 1.5e6}, {4, 3e6}}},
-		},
-	}
-	var sb strings.Builder
-	if err := p.WriteTable(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"read% = 99", "goll", "roll", "1 ", "2 ", "4 "} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
-	}
-	// Missing sample renders as "-".
-	if !strings.Contains(out, "-") {
-		t.Fatalf("missing samples not rendered as '-':\n%s", out)
-	}
 }
 
 func TestDeterministicOpCount(t *testing.T) {

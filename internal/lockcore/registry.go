@@ -56,7 +56,7 @@ type KindDesc struct {
 	// BiasBase is the kind a ForceBias kind wraps.
 	BiasBase string
 	// Figure5 marks the five locks of the paper's Figure 5, in registry
-	// order (the benchfig5 default set).
+	// order (the set simlock.Figure5Locks returns).
 	Figure5 bool
 	// IndicatorMatrix marks the kinds whose sim/suite tables also carry
 	// -central/-sharded read-indicator variants.

@@ -3,7 +3,7 @@ package prof
 // This file is the validating counterpart of pproto.go: a minimal
 // profile.proto decoder, enough to round-trip what the encoder emits
 // (and what any conforming encoder emits for the fields we read). It
-// exists so tests and `lockmon profcheck` can verify emitted profiles
+// exists so tests and `lockmon check` can verify emitted profiles
 // without a proto dependency or shelling out to `go tool pprof`.
 
 import (

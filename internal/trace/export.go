@@ -1,7 +1,7 @@
 // Recording serialization and the Perfetto/Chrome trace-event exporter.
 //
-// A Recording is the portable JSON form of a snapshot (cmd/locktrace
-// record writes one; export/top read it back). WriteChromeTrace turns
+// A Recording is the portable JSON form of a snapshot (lockmon record
+// writes one; lockmon export/top read it back). WriteChromeTrace turns
 // a snapshot into Chrome trace-event JSON — the format Perfetto and
 // chrome://tracing load — rendering each lock as a process and each
 // proc as a track whose phase spans nest inside its acquisition spans.

@@ -167,7 +167,7 @@ func (p *Profile) WriteTop(w io.Writer) {
 // Do runs f under pprof labels naming the traced lock, so CPU profiles
 // sampled during a traced workload can be sliced by lock in pprof
 // (`-tagfocus ollock_lock=<name>`). This is the runtime/pprof.Do
-// integration point cmd/locktrace record uses around its workload.
+// integration point for a traced workload.
 func Do(lock string, f func()) {
 	pprof.Do(context.Background(), pprof.Labels("ollock_lock", lock),
 		func(context.Context) { f() })

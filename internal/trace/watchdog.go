@@ -48,7 +48,7 @@ type Watchdog struct {
 // NewWatchdog returns a watchdog reporting waiters stuck longer than
 // threshold to out. Call Start to begin polling (at threshold/4, at
 // least every millisecond), or CheckNow to poll synchronously (tests,
-// cmd/locktrace watch). A nil tracer yields an inert watchdog.
+// lockmon watch). A nil tracer yields an inert watchdog.
 func NewWatchdog(tr *Tracer, threshold time.Duration, out io.Writer) *Watchdog {
 	w := &Watchdog{tr: tr, threshold: threshold, out: out, seen: map[uint64]int64{}}
 	w.interval = threshold / 4
