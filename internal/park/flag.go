@@ -24,7 +24,6 @@ package park
 import (
 	"sync/atomic"
 
-	"ollock/internal/atomicx"
 	"ollock/internal/trace"
 )
 
@@ -44,16 +43,16 @@ type parkRec struct {
 	sem   chan struct{}
 }
 
-// Flag is the blocked word with the parked-waiter list alongside on
-// the same private cache line — the line is private to this node's
-// waiters by construction, which is the MCS property the queue locks
-// depend on.
+// Flag is the blocked word with the parked-waiter list beside it. It
+// carries no padding of its own: its owner places it, and a queue node
+// (internal/qnode) puts it on one cache line with the node's successor
+// link and grant word, the layout of an MCS qnode. That line is the
+// waiters' to spin on but not theirs alone: the successor's link write
+// touches it once while its owner waits, and the granter's clear is the
+// write that ends the wait.
 type Flag struct {
-	_      atomicx.Pad
 	word   atomic.Uint32
-	_      [4]byte
 	parked atomic.Pointer[parkRec]
-	_      [atomicx.CacheLineSize - 16]byte
 }
 
 // Set raises or lowers the flag. Only the node's owner calls it, while

@@ -78,35 +78,66 @@ const (
 // links through recycled nodes.
 const dumpLimit = 256
 
+// ptrSize is the size of a pointer: 8 bytes on 64-bit targets, 4 on
+// 32-bit ones.
+const ptrSize = 4 << (^uintptr(0) >> 63)
+
 // Node is a queue node. Writer nodes belong to one thread each; reader
 // nodes live in the queue's ring pool and are shared by groups of
 // readers.
+//
+// A node is 192 bytes. Its hand-off words are laid out like Figure 4's
+// qnode {qNext, spin}: the successor link, the grant word and the flag,
+// on one cache line. The grantee's wake-up read of its flag so brings
+// its own QNext into its cache, and its release finds its successor
+// without a transfer. The back link, written at enqueue and as the node
+// becomes the head, starts a line-size further on, and what arriving
+// readers read (Kind, Root) beside the rarely written allocation word a
+// line-size past that: neither is on the line the grant writes.
+//
+// Where that line falls: the allocator cuts page-aligned spans into
+// slots of a size class, and puts an 8-byte header before an object with
+// pointers above 512 bytes (128 on 32-bit targets). Every class a Node
+// or a ring of them lands in is a multiple of 64 bytes (of 16 on 32-bit
+// targets), so a Node starts 0 or 8 bytes past a line boundary (8 past a
+// 16-byte one on 32-bit targets). Four pointer words 8 bytes in
+// therefore never straddle a line, and 64 bytes on is past its end.
+// TestNodeHandOffLine checks the addresses on both.
 type Node struct {
-	Kind  uint32 // immutable
-	QNext atomicx.PaddedPointer[Node]
-	// QPrev is the backward link of a doubly linked queue. The policy
-	// sets it (through Reset, or once its Swap reveals the predecessor);
-	// a writer node clears its own when it becomes the head (BecomeHead),
-	// and a reader node's is left for its next Reset, since no walk
-	// follows a reader node's link.
-	QPrev atomicx.PaddedPointer[Node]
+	_ [8]byte
+	// QNext is the successor link, set by the successor as it links in.
+	QNext atomic.Pointer[Node]
+	// GState is the grant/abandon race word (Live, Granted, Abandoned).
+	GState atomic.Uint32
 	// Flag is the node's grant flag (the "spin" boolean of Figure 4),
 	// policy-aware so blocked threads can yield or park instead of
 	// burning CPU; see internal/park via lockcore. On a reader node its
 	// Blocked bit doubles as "this group is still waiting".
 	Flag lockcore.Flag
-	// GState is the grant/abandon race word (Live, Granted, Abandoned).
-	GState atomic.Uint32
+	// QNext, GState (padded to a pointer's alignment) and Flag's word
+	// and list take four pointer words.
+	_ [atomicx.CacheLineSize - 4*ptrSize]byte
+	// QPrev is the backward link of a doubly linked queue. The policy
+	// sets it (through Reset, or once its Swap reveals the predecessor);
+	// a writer node clears its own when it becomes the head (BecomeHead),
+	// and a reader node's is left for its next Reset, since no walk
+	// follows a reader node's link.
+	QPrev atomic.Pointer[Node]
+	_     [atomicx.CacheLineSize - ptrSize]byte
+	Kind  uint32 // immutable
 	// Reader-node-only fields.
-	Ind rind.Indicator // closed whenever the node is not enqueued
+	allocState atomic.Uint32
+	Ind        rind.Indicator // closed whenever the node is not enqueued
 	// Root is Ind resolved once, at Init: the C-SNZI behind the default
 	// indicator, whose root word readers arrive at and depart from
 	// inline, or nil when every call goes through Ind (see rind.Root).
 	// Read sites spell the attempt, its count and the fall-through out;
 	// a shared helper holding all three is past the inliner's budget.
-	Root       *csnzi.CSNZI
-	allocState atomic.Uint32
-	ringNext   *Node // immutable ring pointer for the pool
+	Root     *csnzi.CSNZI
+	ringNext *Node // immutable ring pointer for the pool
+	// Kind and allocState take 8 bytes; Ind, Root and ringNext four
+	// pointer words; the node ends 192 bytes in.
+	_ [atomicx.CacheLineSize - 16 - 4*ptrSize]byte
 }
 
 // NewWriterNode returns a writer node at rest: a proc's first, or the

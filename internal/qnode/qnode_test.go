@@ -1,6 +1,7 @@
 package qnode
 
 import (
+	"fmt"
 	"testing"
 	"time"
 	"unsafe"
@@ -148,6 +149,45 @@ func TestBecomeHeadNotGrantClearsBackLink(t *testing.T) {
 	w.BecomeHead()
 	ps[1].Unlock()
 	wantRest(t, q, ps)
+}
+
+// TestNodeHandOffLine checks, by the addresses the allocator handed out,
+// that a node's hand-off words — the successor link, the grant word, and
+// the flag's word and parked list — share one cache line, and that the
+// back link and the words arriving readers touch are off it.
+func TestNodeHandOffLine(t *testing.T) {
+	line := func(p unsafe.Pointer) uintptr { return uintptr(p) / atomicx.CacheLineSize }
+	check := func(name string, n *Node) {
+		t.Helper()
+		hot := line(unsafe.Pointer(&n.QNext))
+		for field, span := range map[string][2]unsafe.Pointer{
+			"GState": {unsafe.Pointer(&n.GState), unsafe.Add(unsafe.Pointer(&n.GState), unsafe.Sizeof(n.GState)-1)},
+			"Flag":   {unsafe.Pointer(&n.Flag), unsafe.Add(unsafe.Pointer(&n.Flag), unsafe.Sizeof(n.Flag)-1)},
+			"QNext":  {unsafe.Pointer(&n.QNext), unsafe.Add(unsafe.Pointer(&n.QNext), unsafe.Sizeof(n.QNext)-1)},
+		} {
+			if line(span[0]) != hot || line(span[1]) != hot {
+				t.Errorf("%s: %s spans %#x..%#x, off QNext's line %#x", name, field, span[0], span[1], hot*atomicx.CacheLineSize)
+			}
+		}
+		for field, p := range map[string]unsafe.Pointer{
+			"QPrev":      unsafe.Pointer(&n.QPrev),
+			"Root":       unsafe.Pointer(&n.Root),
+			"allocState": unsafe.Pointer(&n.allocState),
+		} {
+			if line(p) == hot {
+				t.Errorf("%s: %s at %p is on the hand-off line", name, field, p)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ { // consecutive slots of one span, at every offset the class gives
+		check("NewWriterNode", NewWriterNode())
+	}
+	for _, size := range []int{1, 2, 3, 64, 256} {
+		q, _ := newQueue(size)
+		for i := range q.ring {
+			check(fmt.Sprintf("ring of %d, node %d", size, i), &q.ring[i])
+		}
+	}
 }
 
 // TestProcLayout pins the memory the read fast path touches in a Proc:

@@ -2,16 +2,28 @@ package sim
 
 import "math/bits"
 
-// Word is one simulated shared-memory word, assumed to occupy its own
-// cache line (the real lock implementations pad their hot words the same
-// way). Its coherence metadata tracks which threads hold valid copies so
-// each access can be charged the right latency.
+// Word is one simulated shared-memory word. A word made by NewWord is a
+// cache line of its own (the real lock implementations pad their hot
+// words the same way); one made by NewWordOn shares the line of another,
+// as the fields of one MCS queue node do. The line's coherence metadata
+// tracks which threads hold valid copies so each access can be charged
+// the right latency; the value and the watchers stay per word, so a
+// store to one word of a line invalidates every copy of the line but
+// wakes only the watchers of the word it changed. The watchers of the
+// line's other words reload it at once, as a spinning core does, so the
+// line's next writer pays to invalidate them again.
 //
-// Words must be created by Machine.NewWord and accessed only through Ctx
-// primitives during Run.
+// Words must be created by Machine.NewWord or NewWordOn and accessed
+// only through Ctx primitives during Run.
 type Word struct {
 	id  int
 	val uint64
+	// line is the word whose coherence metadata this word's accesses
+	// use, nil when the word is its line's first (NewWord). The fields
+	// below are meaningful only on a line's first word, except watchers.
+	line *Word
+	// others are the words NewWordOn placed on this word's line.
+	others []*Word
 	// Coherence is tracked at core granularity: the hardware threads of
 	// one core share a cache (the T2+ L1), so a line resident in a core
 	// is a hit for every thread of that core.
@@ -48,6 +60,19 @@ func (m *Machine) NewWord(val uint64) *Word {
 		lastToucher:    -1,
 		sharers:        make([]uint64, (cores+63)/64),
 	}
+}
+
+// NewWordOn allocates a word initialized to val on w's cache line: every
+// access to it is charged, and moves the line, exactly as an access to w
+// would. A word made on a NewWordOn word lands on that word's line too.
+func (m *Machine) NewWordOn(w *Word, val uint64) *Word {
+	if w.line != nil {
+		w = w.line
+	}
+	m.words++
+	o := &Word{id: m.words - 1, val: val, line: w}
+	w.others = append(w.others, o)
+	return o
 }
 
 // Words returns how many words have been allocated (diagnostic).
@@ -234,11 +259,14 @@ func (c *Ctx) charge(w *Word, cost int64, occupy bool) {
 	}
 }
 
-// readCost charges the latency of reading w and updates its coherence
-// metadata. Reads never occupy the line: once a written line is
-// re-shared, refills are served in parallel (banked L2s, cache-to-cache
-// forwarding); only ownership transfers serialize.
+// readCost charges the latency of reading w and updates its line's
+// coherence metadata. Reads never occupy the line: once a written line
+// is re-shared, refills are served in parallel (banked L2s,
+// cache-to-cache forwarding); only ownership transfers serialize.
 func (c *Ctx) readCost(w *Word) {
+	if w.line != nil {
+		w = w.line
+	}
 	t := c.t
 	t.accesses++
 	if int(w.ownerCore) == t.core || w.sharerHas(t.core) {
@@ -260,35 +288,65 @@ func (c *Ctx) readCost(w *Word) {
 	w.lastToucher = int32(t.id)
 }
 
-// writeCost charges the latency of gaining exclusive ownership of w for
-// the caller's core (read-for-ownership + invalidations) and updates its
-// metadata.
+// writeCost charges the latency of gaining exclusive ownership of w's
+// line for the caller's core (read-for-ownership + invalidations) and
+// updates the line's metadata.
 func (c *Ctx) writeCost(w *Word) {
+	l := w
+	if w.line != nil {
+		l = w.line
+	}
 	t := c.t
 	t.accesses++
 	switch {
-	case int(w.ownerCore) == t.core:
-		c.charge(w, c.m.hitCost(w, t), true)
-	case w.sharerHas(t.core) && w.sharersEmptyExcept(t.core) && w.ownerCore < 0:
+	case int(l.ownerCore) == t.core:
+		c.charge(l, c.m.hitCost(l, t), true)
+	case l.sharerHas(t.core) && l.sharersEmptyExcept(t.core) && l.ownerCore < 0:
 		// Sole sharing core upgrading to exclusive: no transfer needed.
-		c.charge(w, c.m.hitCost(w, t), true)
+		c.charge(l, c.m.hitCost(l, t), true)
 	default:
 		// Fetch the line from its last writer core (or memory) and
 		// invalidate every other copy; charge the worst transfer.
-		d := c.m.coreDistance(int(w.lastWriterCore), t)
-		if inv := w.maxSharerDistance(c.m, t); inv > d {
+		d := c.m.coreDistance(int(l.lastWriterCore), t)
+		if inv := l.maxSharerDistance(c.m, t); inv > d {
 			d = inv
 		}
-		c.charge(w, c.m.distCost(d), true)
+		c.charge(l, c.m.distCost(d), true)
 		if d == distRemote {
 			t.remote++
 		}
 	}
-	w.ownerCore = int32(t.core)
-	w.lastWriterCore = int32(t.core)
-	w.lastToucher = int32(t.id)
-	w.sharersClear()
-	w.sharerAdd(t.core)
+	l.ownerCore = int32(t.core)
+	l.lastWriterCore = int32(t.core)
+	l.lastToucher = int32(t.id)
+	l.sharersClear()
+	l.sharerAdd(t.core)
+	if l.others != nil {
+		if l != w {
+			l.reload(l)
+		}
+		for _, o := range l.others {
+			if o != w {
+				l.reload(o)
+			}
+		}
+	}
+}
+
+// reload models the watchers of o, a word on line l that a write to
+// another of l's words just invalidated, fetching the line back as a
+// spinning core does: each watcher's core shares the line again, at no
+// cost to the watcher, so the line's next writer pays to invalidate it.
+// The watchers of the written word need no reload: a store that changes
+// it wakes them, and they pay for their own read.
+func (l *Word) reload(o *Word) {
+	for _, wt := range o.watchers {
+		if l.ownerCore >= 0 && int(l.ownerCore) != wt.core {
+			l.sharerAdd(int(l.ownerCore))
+			l.ownerCore = -1
+		}
+		l.sharerAdd(wt.core)
+	}
 }
 
 // wake unparks every watcher of w at the writer's current time.
@@ -398,8 +456,8 @@ func (c *Ctx) SpinUntil(w *Word, pred func(uint64) bool) uint64 {
 // instruction cost, the right model for pointer-chasing — LoadStream
 // models the memory-level parallelism of scanning a contiguous array:
 // the individual misses overlap, so the scan is charged the single
-// worst transfer latency plus one issue cycle per word. Coherence
-// metadata is updated per word exactly as for Load.
+// worst transfer latency plus one issue cycle per word. Each word's line
+// metadata is updated exactly as for Load.
 //
 // It exists for bulk scans over arrays of hot words (e.g. the BRAVO
 // revocation scan over the visible-readers table); algorithms must not
@@ -410,12 +468,16 @@ func (c *Ctx) LoadStream(ws []*Word) []uint64 {
 	var worst int64
 	out := make([]uint64, len(ws))
 	for i, w := range ws {
+		l := w
+		if w.line != nil {
+			l = w.line
+		}
 		t.accesses++
 		var cost int64
-		if int(w.ownerCore) == t.core || w.sharerHas(t.core) {
-			cost = c.m.hitCost(w, t)
+		if int(l.ownerCore) == t.core || l.sharerHas(t.core) {
+			cost = c.m.hitCost(l, t)
 		} else {
-			d := c.m.coreDistance(int(w.lastWriterCore), t)
+			d := c.m.coreDistance(int(l.lastWriterCore), t)
 			cost = c.m.distCost(d)
 			if d == distRemote {
 				t.remote++
@@ -424,12 +486,12 @@ func (c *Ctx) LoadStream(ws []*Word) []uint64 {
 		if cost > worst {
 			worst = cost
 		}
-		if w.ownerCore >= 0 && int(w.ownerCore) != t.core {
-			w.sharerAdd(int(w.ownerCore))
-			w.ownerCore = -1
+		if l.ownerCore >= 0 && int(l.ownerCore) != t.core {
+			l.sharerAdd(int(l.ownerCore))
+			l.ownerCore = -1
 		}
-		w.sharerAdd(t.core)
-		w.lastToucher = int32(t.id)
+		l.sharerAdd(t.core)
+		l.lastToucher = int32(t.id)
 		out[i] = w.val
 		c.emit(EvLoad, w, w.val)
 	}

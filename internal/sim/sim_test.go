@@ -184,6 +184,112 @@ func TestSpinUntilWakesAtWriterTime(t *testing.T) {
 	}
 }
 
+// TestWordsShareOneLine: words made with NewWordOn share their line's
+// coherence state — an access to one is charged as an access to the
+// other would be — and keep their own values and watchers.
+func TestWordsShareOneLine(t *testing.T) {
+	cfg := small() // id 0 on core 0, id 2 on core 1, same chip
+	m := New(cfg)
+	a := m.NewWord(0)
+	b := m.NewWordOn(a, 0)
+	c3 := m.NewWordOn(b, 0) // made on a secondary word: lands on a's line
+	order := m.NewWord(0)
+	if b.line != a || c3.line != a {
+		t.Fatal("NewWordOn did not resolve to the first word's line")
+	}
+	var hit, miss, missViaSecondary int64
+	var wakes []Event
+	m.SetTrace(func(e Event) {
+		if e.Kind == EvSpinWake && e.Word != order.ID() {
+			wakes = append(wakes, e)
+		}
+	})
+	m.Spawn(func(c *Ctx) {
+		c.Store(a, 1)
+		t0 := c.Now()
+		c.Load(b) // the store to a brought the line here
+		hit = c.Now() - t0
+		c.Store(order, 1)
+		c.SpinUntil(order, func(v uint64) bool { return v == 2 })
+		t0 = c.Now()
+		c.Load(a) // core 1's store to b invalidated this copy
+		miss = c.Now() - t0
+		c.Store(order, 3)
+		c.SpinUntil(a, func(v uint64) bool { return v == 2 }) // not woken by b
+		c.SpinUntil(order, func(v uint64) bool { return v == 4 })
+		t0 = c.Now()
+		c.Load(a)
+		missViaSecondary = c.Now() - t0
+	})
+	m.Spawn(func(c *Ctx) {})
+	m.Spawn(func(c *Ctx) {
+		c.SpinUntil(order, func(v uint64) bool { return v == 1 })
+		c.Store(b, 7)
+		c.Store(order, 2)
+		c.SpinUntil(order, func(v uint64) bool { return v == 3 })
+		c.Store(b, 8)
+		c.Store(a, 2)
+		c.Store(c3, 9)
+		c.Store(order, 4)
+	})
+	m.Run()
+	if hit != cfg.CostOp+cfg.CostLocal {
+		t.Errorf("load of a word on the line the thread just stored to cost %d, want a private hit %d", hit, cfg.CostOp+cfg.CostLocal)
+	}
+	if want := cfg.CostOp + cfg.CostShared; miss != want || missViaSecondary != want {
+		t.Errorf("loads after another core stored to the line cost %d and %d, want the on-chip transfer %d", miss, missViaSecondary, want)
+	}
+	if len(wakes) != 1 || wakes[0].Word != a.ID() || wakes[0].Value != 2 {
+		t.Errorf("wakes on the shared line = %+v, want one, by the store of 2 to a", wakes)
+	}
+	if a.Value() != 2 || b.Value() != 8 || c3.Value() != 9 {
+		t.Errorf("values a=%d b=%d c3=%d, want 2 8 9", a.Value(), b.Value(), c3.Value())
+	}
+}
+
+// TestSpinnerReloadsSharedLine: a store to one word of a line
+// invalidates the copy of a thread spinning on another word of it; the
+// spinner reloads the line at once, so the next store to the line pays
+// to invalidate it again. Here the MCS hand-off: B (chip 1) spins on its
+// flag, C (chip 0) links behind B on the same line, then A (chip 0)
+// grants B. A's store must cost the cross-chip invalidation of B's copy,
+// not only the on-chip fetch from C — whichever word of the line B spins
+// on.
+func TestSpinnerReloadsSharedLine(t *testing.T) {
+	for _, spinOnSecondary := range []bool{true, false} {
+		cfg := small() // ids 0 and 2 on chip 0 (cores 0, 1), id 4 on chip 1
+		m := New(cfg)
+		link := m.NewWord(0)
+		flag := m.NewWordOn(link, 0)
+		if !spinOnSecondary {
+			link, flag = flag, link
+		}
+		order := m.NewWord(0)
+		var grant int64
+		m.Spawn(func(c *Ctx) { // A
+			c.SpinUntil(order, func(v uint64) bool { return v == 1 })
+			t0 := c.Now()
+			c.Store(flag, 1)
+			grant = c.Now() - t0
+		})
+		m.Spawn(func(c *Ctx) {})
+		m.Spawn(func(c *Ctx) { // C
+			c.Work(1000)
+			c.Store(link, 1)
+			c.Store(order, 1)
+		})
+		m.Spawn(func(c *Ctx) {})
+		m.Spawn(func(c *Ctx) { // B
+			c.SpinUntil(flag, func(v uint64) bool { return v == 1 })
+		})
+		m.Run()
+		if want := cfg.CostOp + cfg.CostRemote; grant != want {
+			t.Errorf("spin on secondary word %v: grant cost %d, want %d (invalidate the spinner's reloaded copy)",
+				spinOnSecondary, grant, want)
+		}
+	}
+}
+
 func TestDeadlockPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -11,11 +11,16 @@ func ref(i int) uint64    { return uint64(i + 1) }
 func deref(r uint64) int  { return int(r - 1) }
 func isNil(r uint64) bool { return r == 0 }
 
-// qNode is a simulated FOLL/ROLL queue node.
+// qNode is a simulated FOLL/ROLL queue node. qNext and spin share one
+// cache line, as Figure 4's qnode {qNext, spin} does and as the host's
+// qnode.Node lays out its hand-off words: the grantee's wake-up read of
+// spin brings its own qNext into its cache, so its release pays no
+// transfer to find its successor. qPrev, allocState and the indicator
+// each sit on lines of their own.
 type qNode struct {
 	isWriter bool
 	qNext    *sim.Word // node ref
-	spin     *sim.Word // 1 = waiting
+	spin     *sim.Word // 1 = waiting; on qNext's line
 	// Reader-node fields.
 	cs         Indicator
 	allocState *sim.Word // 0 free, 1 in use
@@ -83,9 +88,10 @@ func newFOLL(m *sim.Machine, maxProcs int, withPrev bool, name string, f Indicat
 		l.histWrite = obs.FOLLWriteWait
 	}
 	for i := 0; i < maxProcs; i++ {
+		qNext := m.NewWord(0)
 		n := &qNode{
-			qNext:      m.NewWord(0),
-			spin:       m.NewWord(0),
+			qNext:      qNext,
+			spin:       m.NewWordOn(qNext, 0),
 			cs:         f(m, maxProcs),
 			allocState: m.NewWord(0),
 			ringNext:   (i + 1) % maxProcs,
@@ -116,10 +122,11 @@ func (l *FOLL) NewProc(id int) Proc {
 	if l.procs >= l.maxProcs {
 		panic("simlock: more procs than maxProcs")
 	}
+	qNext := l.m.NewWord(0)
 	w := &qNode{
 		isWriter: true,
-		qNext:    l.m.NewWord(0),
-		spin:     l.m.NewWord(0),
+		qNext:    qNext,
+		spin:     l.m.NewWordOn(qNext, 0),
 	}
 	if l.withPrev {
 		w.qPrev = l.m.NewWord(0)

@@ -192,14 +192,26 @@ func TestWriteOnlyQueueLocksComparable(t *testing.T) {
 // a reader-join rule (§4.3), so with no readers it must hand off at
 // nearly FOLL's pace (Figure 5(e)/(f): "all distributed queue locks
 // behave similarly"). A grant that also cleared the grantee's back
-// link — a second remote line on the critical path — ran at 0.75×. With
-// no reads there is nothing random to draw, so one seed stands for all.
+// link — a second remote line on the critical path — ran at 0.75×. What
+// ROLL may add is the new head's clear of its own back link (BecomeHead),
+// one private store: at most CostLocal+CostOp+Jitter cycles per
+// acquisition at every thread count. As a ratio that store weighs more
+// the cheaper the hand-off is, so the 0.90 floor is kept only where a
+// hand-off crosses cores (64 and 256 threads). With no reads there is
+// nothing random to draw, so one seed stands for all.
 func TestROLLWriteHandoffKeepsFOLLPace(t *testing.T) {
 	cfg := sim.T5440()
+	privateStore := float64(cfg.CostLocal + cfg.CostOp + cfg.Jitter)
 	for _, threads := range []int{16, 64, 256} {
 		foll := RunExperiment(*ByName("foll"), cfg, threads, 0, 40, 1)
 		roll := RunExperiment(*ByName("roll"), cfg, threads, 0, 40, 1)
-		if r := roll.Throughput / foll.Throughput; r < 0.90 {
+		fc := float64(foll.Cycles) / float64(foll.TotalOps)
+		rc := float64(roll.Cycles) / float64(roll.TotalOps)
+		if rc-fc > privateStore {
+			t.Errorf("%d threads, 0%% reads: ROLL %.2f cycles/acq, FOLL %.2f: ROLL pays %.2f more, want <= %.0f (one private store)",
+				threads, rc, fc, rc-fc, privateStore)
+		}
+		if r := roll.Throughput / foll.Throughput; threads >= 64 && r < 0.90 {
 			t.Errorf("%d threads, 0%% reads: ROLL/FOLL = %.3f (%.3e / %.3e), want >= 0.90",
 				threads, r, roll.Throughput, foll.Throughput)
 		}
