@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-386 test race registry-check bench bench-e2e bench-compare bench-json bench-json-check fig5 fig5-plot fairness stress clean
+.PHONY: all build build-386 test race registry-check bench bench-e2e bench-compare bench-json bench-json-check fig5 fairness stress clean
 
 all: build test
 
@@ -60,11 +60,10 @@ bench-json-check:
 fig5:
 	$(GO) run ./cmd/simfig5 -runs 2 -ops 200
 
-fig5-plot:
-	$(GO) run ./cmd/simfig5 -plot
-
+# The fairness side of Figure 5(b): per-kind acquisition latency
+# columns of the same runs.
 fairness:
-	$(GO) run ./cmd/simfair
+	$(GO) run ./cmd/simfig5 -panel b -threads 8,64,192 -csv
 
 stress:
 	$(GO) run ./cmd/locktest -threads 32 -ops 100000 -upgrade

@@ -247,18 +247,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 						Indicator: indicator, WaitPolicy: "spin",
 						Threads: n, ReadFraction: frac, Runs: *runs,
 					}
-					var fast, slow, revs int64
 					var writes uint64
 					counters := map[string]uint64{}
 					for r := 0; r < *runs; r++ {
 						runSeed := *seed + uint64(r)
-						// Re-create the wrapped lock per run to read its
-						// counters.
-						m := simlock.RunInstrumented(wrapped, sim.T5440(), n, frac, *ops, runSeed)
-						s.Throughput += m.Result.Throughput
-						fast += m.FastReads
-						slow += m.SlowReads
-						revs += m.Revocations
+						m := simlock.RunExperiment(wrapped, sim.T5440(), n, frac, *ops, runSeed)
+						s.Throughput += m.Throughput
 						for k, v := range m.Snapshot.Counters {
 							counters[k] += v
 						}
@@ -281,10 +275,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 					if s.BaseThroughput > 0 {
 						s.Speedup = s.Throughput / s.BaseThroughput
 					}
+					fast, slow := counters["bravo.read.fast"], counters["bravo.read.slow"]
 					if fast+slow > 0 {
 						s.FastReadFraction = float64(fast) / float64(fast+slow)
 					}
-					s.Revocations = revs / int64(*runs)
+					s.Revocations = int64(counters["bravo.revoke"]) / int64(*runs)
 					doc.Series = append(doc.Series, s)
 					fmt.Fprintf(stderr, "%-11s ind=%-8s t=%-4d read%%=%-5.1f %.3e vs %.3e acq/s (%.2fx, fast=%.0f%%, revs=%d)\n",
 						s.Lock, s.Indicator, n, frac*100, s.Throughput, s.BaseThroughput, s.Speedup, s.FastReadFraction*100, s.Revocations)

@@ -6,14 +6,16 @@
 // Usage:
 //
 //	simfig5 [-panel a|b|c|d|e|f|all] [-threads 1,2,...] [-ops N]
-//	        [-runs N] [-seed N] [-locks goll,foll,...] [-csv] [-plot]
+//	        [-runs N] [-seed N] [-locks goll,foll,...] [-csv]
 //
 // The default thread list spans 1..256 with the paper's x-axis density;
-// output is one table per panel (threads as rows, locks as columns),
-// CSV with -csv, or an ASCII log-scale chart with -plot — the fastest
-// way to compare curve shapes against the paper. Runs are deterministic
-// for a given seed; -runs averages over seed+i per the paper's 3-run
-// methodology.
+// output is one table per panel (threads as rows, locks as columns), or
+// CSV with -csv. Each CSV row also carries the fairness side of the
+// same runs, which the paper does not report: mean and p99 acquisition
+// latency in cycles for reads and for writes — FIFO (FOLL) bounds
+// writer latency, reader preference (ROLL) trades it away. Runs are
+// deterministic for a given seed; -runs averages over seed+i per the
+// paper's 3-run methodology.
 package main
 
 import (
@@ -24,7 +26,6 @@ import (
 	"strconv"
 	"strings"
 
-	"ollock/internal/plot"
 	"ollock/internal/sim"
 	"ollock/internal/sim/simlock"
 )
@@ -48,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 42, "base PRNG seed")
 	locksFlag := fs.String("locks", "", "comma-separated lock subset (default: the paper's five)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
-	asPlot := fs.Bool("plot", false, "draw ASCII charts instead of tables")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -81,64 +81,62 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *csv {
-		fmt.Fprintln(stdout, "panel,read_pct,lock,threads,throughput_acq_per_s")
+		fmt.Fprintln(stdout, "panel,read_pct,lock,threads,throughput_acq_per_s,read_mean_cycles,read_p99_cycles,write_mean_cycles,write_p99_cycles")
 	}
 	for _, p := range selected {
 		frac := panels[p]
-		// Measure the full panel first (results[lock][threadIdx]).
-		results := make([][]float64, len(locks))
+		// Measure the full panel first (results[lock][threadIdx]), each
+		// field the mean over runs.
+		results := make([][]point, len(locks))
 		for li, l := range locks {
-			results[li] = make([]float64, len(threads))
+			results[li] = make([]point, len(threads))
 			for ti, n := range threads {
-				var sum float64
+				var sum point
 				for r := 0; r < *runs; r++ {
 					res := simlock.RunExperiment(l, sim.T5440(), n, frac, *ops, *seed+uint64(r)*7919)
-					sum += res.Throughput
+					sum.throughput += res.Throughput
+					sum.readMean += res.Read.Mean
+					sum.readP99 += float64(res.Read.P99)
+					sum.writeMean += res.Write.Mean
+					sum.writeP99 += float64(res.Write.P99)
 				}
-				results[li][ti] = sum / float64(*runs)
+				k := float64(*runs)
+				results[li][ti] = point{sum.throughput / k, sum.readMean / k, sum.readP99 / k, sum.writeMean / k, sum.writeP99 / k}
 			}
 		}
-		title := fmt.Sprintf("Figure 5(%s): %.0f%% reads — simulated T5440, %d ops/thread, %d run(s)",
+		if *csv {
+			for li, l := range locks {
+				for ti, n := range threads {
+					pt := results[li][ti]
+					fmt.Fprintf(stdout, "%s,%.0f,%s,%d,%.6e,%.0f,%.0f,%.0f,%.0f\n", p, frac*100, l.Name, n,
+						pt.throughput, pt.readMean, pt.readP99, pt.writeMean, pt.writeP99)
+				}
+			}
+			continue
+		}
+		fmt.Fprintf(stdout, "Figure 5(%s): %.0f%% reads — simulated T5440, %d ops/thread, %d run(s)\n",
 			p, frac*100, *ops, *runs)
-		switch {
-		case *csv:
-			for li, l := range locks {
-				for ti, n := range threads {
-					fmt.Fprintf(stdout, "%s,%.0f,%s,%d,%.6e\n", p, frac*100, l.Name, n, results[li][ti])
-				}
-			}
-		case *asPlot:
-			series := make([]plot.Series, len(locks))
-			for li, l := range locks {
-				xs := make([]float64, len(threads))
-				for ti, n := range threads {
-					xs[ti] = float64(n)
-				}
-				series[li] = plot.Series{Name: l.Name, X: xs, Y: results[li]}
-			}
-			if err := plot.Render(stdout, title, series, 72, 18); err != nil {
-				fmt.Fprintln(stderr, "simfig5:", err)
-				return 1
-			}
-			fmt.Fprintln(stdout)
-		default:
-			fmt.Fprintln(stdout, title)
-			fmt.Fprintf(stdout, "%-9s", "threads")
-			for _, l := range locks {
-				fmt.Fprintf(stdout, " %12s", l.Name)
-			}
-			fmt.Fprintln(stdout)
-			for ti, n := range threads {
-				fmt.Fprintf(stdout, "%-9d", n)
-				for li := range locks {
-					fmt.Fprintf(stdout, " %12.3e", results[li][ti])
-				}
-				fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "%-9s", "threads")
+		for _, l := range locks {
+			fmt.Fprintf(stdout, " %12s", l.Name)
+		}
+		fmt.Fprintln(stdout)
+		for ti, n := range threads {
+			fmt.Fprintf(stdout, "%-9d", n)
+			for li := range locks {
+				fmt.Fprintf(stdout, " %12.3e", results[li][ti].throughput)
 			}
 			fmt.Fprintln(stdout)
 		}
+		fmt.Fprintln(stdout)
 	}
 	return 0
+}
+
+// point is one lock at one thread count: throughput in acquisitions/s
+// and acquisition latencies in cycles.
+type point struct {
+	throughput, readMean, readP99, writeMean, writeP99 float64
 }
 
 func parseInts(s string) ([]int, error) {

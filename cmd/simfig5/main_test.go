@@ -24,13 +24,13 @@ func TestPanelCSVSmoke(t *testing.T) {
 		t.Fatalf("two runs differ:\n%s\n---\n%s", &outs[0], &outs[1])
 	}
 	lines := strings.Split(strings.TrimSpace(outs[0].String()), "\n")
-	if lines[0] != "panel,read_pct,lock,threads,throughput_acq_per_s" {
+	if lines[0] != "panel,read_pct,lock,threads,throughput_acq_per_s,read_mean_cycles,read_p99_cycles,write_mean_cycles,write_p99_cycles" {
 		t.Fatalf("header = %q", lines[0])
 	}
 	rows := map[string]int{}
 	for _, line := range lines[1:] {
 		f := strings.Split(line, ",")
-		if len(f) != 5 || f[0] != "c" || f[1] != "95" {
+		if len(f) != 9 || f[0] != "c" || f[1] != "95" {
 			t.Fatalf("bad row %q", line)
 		}
 		if v, err := strconv.ParseFloat(f[4], 64); err != nil || v <= 0 {

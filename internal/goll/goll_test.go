@@ -1,6 +1,7 @@
 package goll
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -403,19 +404,21 @@ func TestTryRLockFailsWhileWriterWaits(t *testing.T) {
 	holder := l.NewProc()
 	holder.RLock()
 	w := l.NewProc()
-	wIn := make(chan struct{})
+	wDone := make(chan struct{})
 	go func() {
 		w.Lock()
-		close(wIn)
 		w.Unlock()
+		close(wDone)
 	}()
-	time.Sleep(30 * time.Millisecond) // writer queued: C-SNZI closed
+	for _, open := l.cs.Query(); open; _, open = l.cs.Query() {
+		runtime.Gosched() // until the queued writer closes the C-SNZI
+	}
 	r := l.NewProc()
 	if r.TryRLock() {
 		t.Fatal("TryRLock succeeded while a writer was waiting")
 	}
 	holder.RUnlock()
-	<-wIn
+	<-wDone
 	if !r.TryRLock() {
 		t.Fatal("TryRLock failed on a free lock")
 	}

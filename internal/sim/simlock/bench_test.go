@@ -92,7 +92,7 @@ func BenchmarkMachineInterconnectAblation(b *testing.B) {
 
 func TestROLLNoHintCorrect(t *testing.T) {
 	f := Factory{Name: "roll-nohint", New: func(m *sim.Machine, n int) Lock { return NewROLLNoHint(m, n) }}
-	res := VerifyExclusion(f, testCfg(), 16, 0.8, 80, 5)
+	res := checkedRun(f, 16, 0.8, 80, 5)
 	if res.Violations != 0 {
 		t.Fatalf("%d violations with hint disabled", res.Violations)
 	}

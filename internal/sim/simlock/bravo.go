@@ -28,12 +28,6 @@ type Bravo struct {
 	salt    uint64
 	mult    uint64
 
-	// Host-side accounting (free in virtual time, deterministic):
-	// fast/slow read acquisitions and bias revocations.
-	FastReads   int64
-	SlowReads   int64
-	Revocations int64
-
 	// stats mirrors the real wrapper's bravo.* counters. When the
 	// wrapped lock carries its own obs block the wrapper adopts it (one
 	// Snapshot covers the whole stack, as in the real facade).
@@ -137,7 +131,6 @@ func (p *bravoProc) RLock(c *sim.Ctx) {
 		if s != nil {
 			if c.Load(l.bias) == 1 {
 				p.slot = s
-				l.FastReads++
 				l.stats.Inc(obs.BravoFastRead, p.id)
 				return
 			}
@@ -146,7 +139,6 @@ func (p *bravoProc) RLock(c *sim.Ctx) {
 		}
 	}
 	p.base.RLock(c)
-	l.SlowReads++
 	l.stats.Inc(obs.BravoSlowRead, p.id)
 	if c.Load(l.bias) == 0 {
 		p.slowReadArm(c)
@@ -213,7 +205,6 @@ func (l *Bravo) revoke(c *sim.Ctx, id int) {
 			c.SpinUntil(l.table[i], func(v uint64) bool { return v == 0 })
 		}
 	}
-	l.Revocations++
 	l.stats.Inc(obs.BravoRevoke, id)
 	// Virtual cycles, where the real wrapper records nanoseconds: the
 	// histogram carries only the shape.

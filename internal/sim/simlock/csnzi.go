@@ -83,10 +83,6 @@ type CSNZI struct {
 	nodes  []csNode // leaves first, then chip nodes
 	leafOf []int    // thread id -> leaf node index (-1 = use root)
 
-	// Diagnostic counters (safe as plain ints: the simulation executes
-	// one thread at a time).
-	StatRootCAS, StatNodeCAS, StatPropagate int64
-
 	// stats mirrors the real implementation's csnzi.* counters (see
 	// internal/obs). Host-side, so free in virtual time; single-striped
 	// because the simulation is single-threaded.
@@ -164,7 +160,6 @@ func (s *CSNZI) Arrive(c *sim.Ctx, id int) Ticket {
 				s.stats.Inc(obs.CSNZIArriveFail, id)
 				return TicketFailed
 			}
-			s.StatRootCAS++
 			if c.CAS(s.root, old, old+1) {
 				s.stats.Inc(obs.CSNZIArriveRoot, id)
 				return TicketDirect
@@ -201,7 +196,6 @@ func (s *CSNZI) treeArrive(c *sim.Ctx, idx int) bool {
 
 		case x&halfBit != 0:
 			// Zero-crossing in flight: join provisionally.
-			s.StatNodeCAS++
 			if !c.CAS(n.w, x, x+1) {
 				continue
 			}
@@ -220,24 +214,20 @@ func (s *CSNZI) treeArrive(c *sim.Ctx, idx int) bool {
 				} else {
 					next = failBit | (cnt - 1)
 				}
-				s.StatNodeCAS++
 				if c.CAS(n.w, x, next) {
 					return false
 				}
 			}
 
 		case x > 0:
-			s.StatNodeCAS++
 			if c.CAS(n.w, x, x+1) {
 				return true
 			}
 
 		default: // x == 0: claim the zero-crossing
-			s.StatNodeCAS++
 			if !c.CAS(n.w, 0, halfBit|1) {
 				continue
 			}
-			s.StatPropagate++
 			var ok bool
 			if n.parent < 0 {
 				ok = s.rootTreeArrive(c)
@@ -257,7 +247,6 @@ func (s *CSNZI) treeArrive(c *sim.Ctx, idx int) bool {
 				} else {
 					next = failBit | (cnt - 1)
 				}
-				s.StatNodeCAS++
 				if c.CAS(n.w, x, next) {
 					return ok
 				}
@@ -273,7 +262,6 @@ func (s *CSNZI) treeDepart(c *sim.Ctx, idx int) bool {
 	n := s.nodes[idx]
 	for {
 		x := c.Load(n.w)
-		s.StatNodeCAS++
 		if c.CAS(n.w, x, x-1) {
 			if x == 1 {
 				if n.parent < 0 {
@@ -292,7 +280,6 @@ func (s *CSNZI) rootTreeArrive(c *sim.Ctx) bool {
 		if old == closedBit {
 			return false
 		}
-		s.StatRootCAS++
 		if c.CAS(s.root, old, old+treeOne) {
 			return true
 		}
@@ -302,7 +289,6 @@ func (s *CSNZI) rootTreeArrive(c *sim.Ctx) bool {
 func (s *CSNZI) rootTreeDepart(c *sim.Ctx) bool {
 	for {
 		old := c.Load(s.root)
-		s.StatRootCAS++
 		if c.CAS(s.root, old, old-treeOne) {
 			return old-treeOne != closedBit
 		}
@@ -316,7 +302,6 @@ func (s *CSNZI) Depart(c *sim.Ctx, t Ticket) bool {
 	case t == TicketDirect:
 		for {
 			old := c.Load(s.root)
-			s.StatRootCAS++
 			if c.CAS(s.root, old, old-1) {
 				return old-1 != closedBit
 			}

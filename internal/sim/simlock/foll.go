@@ -39,11 +39,6 @@ type FOLL struct {
 	// withPrev makes nodes doubly linked (used by the ROLL embedding).
 	withPrev bool
 
-	// Diagnostics (safe as plain ints: one simulated thread runs at a
-	// time). StatGroups counts reader nodes enqueued (each is one reader
-	// group); StatJoins counts readers who joined an existing node.
-	StatGroups, StatJoins int64
-
 	// stats mirrors the real lock's obs counters. The event triple is
 	// chosen by withPrev, so the ROLL embedding emits roll.* names and
 	// a plain FOLL emits foll.* — same contract as the real locks.
@@ -180,7 +175,6 @@ func (p *follProc) RLock(c *sim.Ctx) {
 			if !c.CAS(l.tail, 0, ref(rNode)) {
 				continue
 			}
-			l.StatGroups++
 			l.stats.Inc(l.evEnqueue, p.id)
 			n.cs.Open(c)
 			t := n.cs.Arrive(c, p.id)
@@ -205,7 +199,6 @@ func (p *follProc) RLock(c *sim.Ctx) {
 			if !c.CAS(l.tail, tailRef, ref(rNode)) {
 				continue
 			}
-			l.StatGroups++
 			l.stats.Inc(l.evEnqueue, p.id)
 			c.Store(pred.qNext, ref(rNode))
 			n.cs.Open(c)
@@ -222,7 +215,6 @@ func (p *follProc) RLock(c *sim.Ctx) {
 			tn := l.nodes[deref(tailRef)]
 			t := tn.cs.Arrive(c, p.id)
 			if t.Arrived() {
-				l.StatJoins++
 				l.stats.Inc(l.evJoin, p.id)
 				if rNode >= 0 {
 					freeNode(c, l.nodes[rNode])

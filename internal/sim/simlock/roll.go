@@ -73,7 +73,6 @@ func (p *rollProc) tryJoinWaiting(c *sim.Ctx, idx int) bool {
 	if !t.Arrived() {
 		return false
 	}
-	p.l.f.StatJoins++
 	p.l.f.stats.Inc(obs.ROLLOvertake, p.fp.id)
 	// Refresh the hint only when it changes; an unconditional store
 	// would serialize every joining reader on the hint line.
@@ -121,7 +120,6 @@ func (p *rollProc) RLock(c *sim.Ctx) {
 			if !c.CAS(f.tail, 0, ref(rNode)) {
 				continue
 			}
-			f.StatGroups++
 			f.stats.Inc(f.evEnqueue, p.fp.id)
 			n.cs.Open(c)
 			t := n.cs.Arrive(c, p.fp.id)
@@ -137,7 +135,6 @@ func (p *rollProc) RLock(c *sim.Ctx) {
 			tn := f.nodes[deref(tailRef)]
 			t := tn.cs.Arrive(c, p.fp.id)
 			if t.Arrived() {
-				f.StatJoins++
 				f.stats.Inc(f.evJoin, p.fp.id)
 				freeSpare()
 				p.fp.departFrom = deref(tailRef)
@@ -180,7 +177,6 @@ func (p *rollProc) RLock(c *sim.Ctx) {
 			if !c.CAS(f.tail, tailRef, ref(rNode)) {
 				continue
 			}
-			f.StatGroups++
 			f.stats.Inc(f.evEnqueue, p.fp.id)
 			c.Store(pred.qNext, ref(rNode))
 			n.cs.Open(c)

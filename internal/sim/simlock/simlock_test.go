@@ -1,6 +1,8 @@
 package simlock
 
 import (
+	"strings"
+	"sync"
 	"testing"
 
 	"ollock/internal/sim"
@@ -14,6 +16,25 @@ func testCfg() sim.Config {
 	}
 }
 
+// checkedRun runs the workload with a 20-cycle critical section, the
+// interleaving window inside which RunConfigured's exclusion check can
+// catch a broken lock.
+func checkedRun(f Factory, threads int, readFraction float64, opsPerThread int, seed uint64) Result {
+	return RunConfigured(Experiment{
+		Factory:      f,
+		Machine:      testCfg(),
+		Threads:      threads,
+		ReadFraction: readFraction,
+		OpsPerThread: opsPerThread,
+		Seed:         seed,
+		CriticalWork: 20,
+	})
+}
+
+// TestExclusionAllLocks checks exclusion for every registered kind and,
+// on the same runs, that the tallies are complete: every acquisition
+// has one latency sample, and every BRAVO read took exactly one of the
+// two paths its counters name.
 func TestExclusionAllLocks(t *testing.T) {
 	fractions := []float64{0.0, 0.5, 0.95, 1.0}
 	for _, f := range Locks {
@@ -22,13 +43,44 @@ func TestExclusionAllLocks(t *testing.T) {
 			t.Parallel()
 			for _, frac := range fractions {
 				for _, threads := range []int{1, 2, 7, 16} {
-					res := VerifyExclusion(f, testCfg(), threads, frac, 60, 12345)
+					res := checkedRun(f, threads, frac, 60, 12345)
 					if res.Violations != 0 {
 						t.Fatalf("threads=%d frac=%v: %d violations", threads, frac, res.Violations)
+					}
+					if res.Read.Count+res.Write.Count != res.TotalOps {
+						t.Fatalf("threads=%d frac=%v: latency counts %d+%d != total %d",
+							threads, frac, res.Read.Count, res.Write.Count, res.TotalOps)
+					}
+					if strings.HasPrefix(f.Name, "bravo-") {
+						fast, slow := res.Snapshot.Counters["bravo.read.fast"], res.Snapshot.Counters["bravo.read.slow"]
+						if int64(fast+slow) != res.Read.Count {
+							t.Fatalf("threads=%d frac=%v: bravo.read.fast %d + slow %d != %d reads",
+								threads, frac, fast, slow, res.Read.Count)
+						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// unlockedLock excludes nothing: each acquire and release is one load.
+type unlockedLock struct{ w *sim.Word }
+
+func (l *unlockedLock) NewProc(int) Proc   { return l }
+func (l *unlockedLock) RLock(c *sim.Ctx)   { c.Load(l.w) }
+func (l *unlockedLock) RUnlock(c *sim.Ctx) { c.Load(l.w) }
+func (l *unlockedLock) Lock(c *sim.Ctx)    { c.Load(l.w) }
+func (l *unlockedLock) Unlock(c *sim.Ctx)  { c.Load(l.w) }
+
+// TestExclusionCheckCatchesBrokenLock: the check is live — a lock that
+// lets writers overlap must show up as violations.
+func TestExclusionCheckCatchesBrokenLock(t *testing.T) {
+	f := Factory{Name: "unlocked", New: func(m *sim.Machine, n int) Lock {
+		return &unlockedLock{w: m.NewWord(0)}
+	}}
+	if res := checkedRun(f, 8, 0.5, 40, 1); res.Violations == 0 {
+		t.Fatal("no violations reported for a lock without exclusion")
 	}
 }
 
@@ -53,6 +105,7 @@ func TestDeterministicThroughput(t *testing.T) {
 // the OLL locks must scale with thread count while the centralized locks
 // must not — the paper's Figure 5(a) ordering.
 func TestReadOnlyScalingShape(t *testing.T) {
+	t.Parallel()
 	speedup := func(name string) float64 {
 		f := ByName(name)
 		if f == nil {
@@ -78,6 +131,7 @@ func TestReadOnlyScalingShape(t *testing.T) {
 // locks must outperform KSUH by a wide margin (Figure 5(a): "two orders
 // of magnitude better" at 256; we require >= 10x at 128).
 func TestOLLBeatKSUHReadOnly(t *testing.T) {
+	t.Parallel()
 	cfg := sim.T5440()
 	ksuh := RunExperiment(*ByName("ksuh"), cfg, 128, 1.0, 120, 3)
 	for _, name := range []string{"goll", "foll", "roll"} {
@@ -93,6 +147,7 @@ func TestOLLBeatKSUHReadOnly(t *testing.T) {
 // throughput once communication goes off-chip at 99% reads (Figure
 // 5(b)'s "dramatic performance drop").
 func TestFOLLOffChipCliff99(t *testing.T) {
+	t.Parallel()
 	cfg := sim.T5440()
 	onChip := RunExperiment(*ByName("foll"), cfg, 64, 0.99, 120, 11)
 	offChip := RunExperiment(*ByName("foll"), cfg, 256, 0.99, 120, 11)
@@ -106,6 +161,7 @@ func TestFOLLOffChipCliff99(t *testing.T) {
 // lock (Figure 5(b)), even though both eventually serialize on the queue
 // mutex.
 func TestGOLLBeatsSolaris99(t *testing.T) {
+	t.Parallel()
 	cfg := sim.T5440()
 	goll := RunExperiment(*ByName("goll"), cfg, 32, 0.99, 120, 19)
 	sol := RunExperiment(*ByName("solaris"), cfg, 32, 0.99, 120, 19)
@@ -119,6 +175,7 @@ func TestGOLLBeatsSolaris99(t *testing.T) {
 // KSUH clearly at full machine scale (Figure 5(c): "over 5x faster ...
 // at 256 threads"; we require 3x at 192 to keep the test fast).
 func TestDistributedBeatKSUH95(t *testing.T) {
+	t.Parallel()
 	cfg := sim.T5440()
 	ksuh := RunExperiment(*ByName("ksuh"), cfg, 192, 0.95, 120, 23)
 	for _, name := range []string{"foll", "roll"} {
@@ -156,12 +213,20 @@ func TestROLLBeatsFOLLOffChip99(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed full-machine comparison is slow under -short")
 	}
+	t.Parallel()
 	cfg := sim.T5440()
 	var roll, foll float64
-	for seed := uint64(42); seed < 46; seed++ {
-		foll += RunExperiment(*ByName("foll"), cfg, 256, 0.99, 120, seed).Throughput
-		roll += RunExperiment(*ByName("roll"), cfg, 256, 0.99, 120, seed).Throughput
+	var wg sync.WaitGroup
+	sum := func(name string, out *float64) {
+		defer wg.Done()
+		for seed := uint64(42); seed < 46; seed++ {
+			*out += RunExperiment(*ByName(name), cfg, 256, 0.99, 120, seed).Throughput
+		}
 	}
+	wg.Add(2)
+	go sum("foll", &foll)
+	go sum("roll", &roll)
+	wg.Wait()
 	if roll <= foll {
 		t.Errorf("ROLL %.3e not above FOLL %.3e at 256 threads / 99%% reads (mean of 4 seeds)",
 			roll/4, foll/4)
@@ -200,6 +265,7 @@ func TestWriteOnlyQueueLocksComparable(t *testing.T) {
 // hand-off crosses cores (64 and 256 threads). With no reads there is
 // nothing random to draw, so one seed stands for all.
 func TestROLLWriteHandoffKeepsFOLLPace(t *testing.T) {
+	t.Parallel()
 	cfg := sim.T5440()
 	privateStore := float64(cfg.CostLocal + cfg.CostOp + cfg.Jitter)
 	for _, threads := range []int{16, 64, 256} {
@@ -214,18 +280,6 @@ func TestROLLWriteHandoffKeepsFOLLPace(t *testing.T) {
 		if r := roll.Throughput / foll.Throughput; threads >= 64 && r < 0.90 {
 			t.Errorf("%d threads, 0%% reads: ROLL/FOLL = %.3f (%.3e / %.3e), want >= 0.90",
 				threads, r, roll.Throughput, foll.Throughput)
-		}
-	}
-}
-
-func TestSweepShape(t *testing.T) {
-	s := Sweep(*ByName("roll"), testCfg(), []int{1, 4, 8}, 0.99, 60, 17)
-	if len(s.Points) != 3 || s.Lock != "roll" {
-		t.Fatal("sweep shape wrong")
-	}
-	for _, p := range s.Points {
-		if p.Throughput <= 0 {
-			t.Fatal("zero throughput in sweep")
 		}
 	}
 }
@@ -260,7 +314,7 @@ func TestResultString(t *testing.T) {
 // consistent and reflect the basic physics — waiting for a writer-held
 // lock costs more than an uncontended acquire.
 func TestLatencyExperimentSanity(t *testing.T) {
-	r := RunLatencyExperiment(*ByName("foll"), testCfg(), 8, 0.9, 100, 3)
+	r := RunExperiment(*ByName("foll"), testCfg(), 8, 0.9, 100, 3)
 	if r.Read.Count+r.Write.Count != r.TotalOps {
 		t.Fatalf("latency counts %d+%d != total %d", r.Read.Count, r.Write.Count, r.TotalOps)
 	}
@@ -270,7 +324,7 @@ func TestLatencyExperimentSanity(t *testing.T) {
 	if float64(r.Read.Max) < r.Read.Mean || float64(r.Write.Max) < r.Write.Mean {
 		t.Fatal("max latency below mean")
 	}
-	solo := RunLatencyExperiment(*ByName("foll"), testCfg(), 1, 0.9, 100, 3)
+	solo := RunExperiment(*ByName("foll"), testCfg(), 1, 0.9, 100, 3)
 	if r.Read.Mean <= solo.Read.Mean {
 		t.Fatalf("contended read latency %.0f not above uncontended %.0f", r.Read.Mean, solo.Read.Mean)
 	}
@@ -281,9 +335,8 @@ func TestLatencyExperimentSanity(t *testing.T) {
 // wait at least as long as FOLL's (readers overtake them), while its
 // readers do no worse.
 func TestReaderPreferenceCostsWriters(t *testing.T) {
-	cfg := sim.T5440()
-	foll := RunLatencyExperiment(*ByName("foll"), cfg, 192, 0.99, 120, 42)
-	roll := RunLatencyExperiment(*ByName("roll"), cfg, 192, 0.99, 120, 42)
+	t.Parallel()
+	foll, roll := follROLL192()
 	if roll.Write.Mean < foll.Write.Mean*0.9 {
 		t.Errorf("ROLL writer latency %.0f unexpectedly below FOLL's %.0f (reader preference should not help writers)",
 			roll.Write.Mean, foll.Write.Mean)
@@ -309,7 +362,7 @@ func TestExclusionSeedSweep(t *testing.T) {
 		t.Run(f.Name, func(t *testing.T) {
 			t.Parallel()
 			for seed := 0; seed < seeds; seed++ {
-				res := VerifyExclusion(f, testCfg(), 12, 0.5, 40, uint64(seed))
+				res := checkedRun(f, 12, 0.5, 40, uint64(seed))
 				if res.Violations != 0 {
 					t.Fatalf("seed %d: %d violations", seed, res.Violations)
 				}
@@ -378,6 +431,7 @@ func TestBurstinessKeepsWriteFraction(t *testing.T) {
 // TestBurstyWritersFavorROLL: with bursty writers at scale, ROLL's group
 // coalescing should beat FOLL by more than under i.i.d. writers.
 func TestBurstyWritersFavorROLL(t *testing.T) {
+	t.Parallel()
 	ratio := func(burst float64) float64 {
 		run := func(name string) float64 {
 			return RunConfigured(Experiment{
@@ -428,26 +482,19 @@ func (cp *opCountingProc) Unlock(c *sim.Ctx)  { cp.p.Unlock(c) }
 // creates fewer reader groups (more joins per enqueued node) than FOLL,
 // because overtaking readers pile onto the one waiting group.
 func TestROLLCoalescesGroups(t *testing.T) {
-	groupsPerOp := func(name string) float64 {
-		var f *FOLL
-		factory := Factory{Name: name, New: func(m *sim.Machine, n int) Lock {
-			switch name {
-			case "foll":
-				l := NewFOLL(m, n)
-				f = l
-				return l
-			default:
-				l := NewROLL(m, n)
-				f = l.f
-				return l
-			}
-		}}
-		res := RunExperiment(factory, sim.T5440(), 192, 0.99, 120, 42)
-		return float64(f.StatGroups) / float64(res.TotalOps)
-	}
-	foll := groupsPerOp("foll")
-	roll := groupsPerOp("roll")
+	t.Parallel()
+	follRes, rollRes := follROLL192()
+	foll := float64(follRes.Snapshot.Counters["foll.read.enqueue"]) / float64(follRes.TotalOps)
+	roll := float64(rollRes.Snapshot.Counters["roll.read.enqueue"]) / float64(rollRes.TotalOps)
 	if roll >= foll {
 		t.Errorf("ROLL groups/op %.4f not below FOLL's %.4f (no coalescing)", roll, foll)
 	}
 }
+
+// follROLL192 is the one FOLL and ROLL run at 192 threads and 99 %
+// reads that TestReaderPreferenceCostsWriters and TestROLLCoalescesGroups
+// both read.
+var follROLL192 = sync.OnceValues(func() (foll, roll Result) {
+	return RunExperiment(*ByName("foll"), sim.T5440(), 192, 0.99, 120, 42),
+		RunExperiment(*ByName("roll"), sim.T5440(), 192, 0.99, 120, 42)
+})

@@ -25,6 +25,20 @@ type Result struct {
 	// RemoteFraction is the fraction of memory accesses that crossed
 	// chips (diagnostic for the 64-thread cliff).
 	RemoteFraction float64
+	// Read and Write are the per-kind acquisition latencies — the
+	// fairness side of the throughput coin: reader preference (ROLL)
+	// buys read throughput at the price of writer waiting time, FIFO
+	// (FOLL) bounds writer latency. The paper reports only throughput.
+	Read, Write LatencyStats
+	// Violations counts reader-writer exclusion failures seen on entry
+	// to and exit from each critical section; nonzero means a lock bug.
+	// The check is live only with CriticalWork > 0: in an empty section
+	// no other simulated thread runs between entry and exit.
+	Violations int
+	// Snapshot carries the lock's obs counters (csnzi.*, goll.*,
+	// foll.*, roll.*, bravo.*), deterministic for a fixed seed; empty
+	// for the uninstrumented baseline kinds.
+	Snapshot obs.Snapshot
 }
 
 // Experiment fully describes one simulated throughput measurement.
@@ -63,48 +77,11 @@ func RunExperiment(f Factory, mcfg sim.Config, threads int, readFraction float64
 	})
 }
 
-// RunConfigured executes a fully-specified experiment.
+// RunConfigured executes a fully-specified experiment. Exclusion and
+// latency bookkeeping is host-side: simulated threads run one at a
+// time, so plain counters and histograms are safe, and none of it
+// issues a simulated primitive.
 func RunConfigured(e Experiment) Result {
-	res, _ := runConfiguredOn(e)
-	return res
-}
-
-// InstrumentedResult extends Result with the BRAVO wrapper's fast-path
-// accounting (zero for unwrapped locks) and the lock's full obs
-// counter Snapshot (empty for uninstrumented baseline kinds).
-type InstrumentedResult struct {
-	Result
-	// FastReads / SlowReads split read acquisitions by path taken.
-	FastReads, SlowReads int64
-	// Revocations counts writer-side bias revocations.
-	Revocations int64
-	// Snapshot carries the lock's internal counters (csnzi.*, goll.*,
-	// foll.*, roll.*, bravo.*), deterministic for a fixed seed.
-	Snapshot obs.Snapshot
-}
-
-// RunInstrumented is RunExperiment plus the wrapper counters, for
-// quantifying how often the biased fast path actually hit.
-func RunInstrumented(f Factory, mcfg sim.Config, threads int, readFraction float64, opsPerThread int, seed uint64) InstrumentedResult {
-	res, l := runConfiguredOn(Experiment{
-		Factory:      f,
-		Machine:      mcfg,
-		Threads:      threads,
-		ReadFraction: readFraction,
-		OpsPerThread: opsPerThread,
-		Seed:         seed,
-	})
-	out := InstrumentedResult{Result: res}
-	if b, ok := l.(*Bravo); ok {
-		out.FastReads, out.SlowReads, out.Revocations = b.FastReads, b.SlowReads, b.Revocations
-	}
-	out.Snapshot = StatsOf(l).Snapshot()
-	return out
-}
-
-// runConfiguredOn executes the experiment and additionally returns the
-// lock instance, so instrumented callers can read its counters.
-func runConfiguredOn(e Experiment) (Result, Lock) {
 	f, mcfg, threads := e.Factory, e.Machine, e.Threads
 	readFraction, opsPerThread, seed := e.ReadFraction, e.OpsPerThread, e.Seed
 	if threads <= 0 || opsPerThread <= 0 {
@@ -128,6 +105,13 @@ func runConfiguredOn(e Experiment) (Result, Lock) {
 			pRW = 1
 		}
 	}
+	var readHist, writeHist obs.Histogram
+	var readers, writers, violations int
+	check := func() {
+		if writers > 1 || writers == 1 && readers != 0 {
+			violations++
+		}
+	}
 	for i := 0; i < threads; i++ {
 		p := l.NewProc(i)
 		rng := xrand.New(seed + uint64(i)*0x9E3779B9 + 1)
@@ -141,18 +125,27 @@ func runConfiguredOn(e Experiment) (Result, Lock) {
 					write = rng.Bool(pRW)
 				}
 				lastWrite = write
-				if !write {
-					p.RLock(c)
-					if e.CriticalWork > 0 {
-						c.Work(e.CriticalWork)
-					}
-					p.RUnlock(c)
-				} else {
+				t0 := c.Now()
+				if write {
 					p.Lock(c)
-					if e.CriticalWork > 0 {
-						c.Work(e.CriticalWork)
-					}
+					writeHist.Record(c.Now() - t0)
+					writers++
+				} else {
+					p.RLock(c)
+					readHist.Record(c.Now() - t0)
+					readers++
+				}
+				check()
+				if e.CriticalWork > 0 {
+					c.Work(e.CriticalWork)
+				}
+				check()
+				if write {
+					writers--
 					p.Unlock(c)
+				} else {
+					readers--
+					p.RUnlock(c)
 				}
 			}
 		})
@@ -172,6 +165,10 @@ func runConfiguredOn(e Experiment) (Result, Lock) {
 		TotalOps:     total,
 		Cycles:       cycles,
 		Steps:        m.Steps(),
+		Read:         latencyStatsOf(&readHist),
+		Write:        latencyStatsOf(&writeHist),
+		Violations:   violations,
+		Snapshot:     StatsOf(l).Snapshot(),
 	}
 	if cycles > 0 {
 		res.Throughput = float64(total) / (float64(cycles) / sim.ClockHz)
@@ -179,62 +176,7 @@ func runConfiguredOn(e Experiment) (Result, Lock) {
 	if accesses > 0 {
 		res.RemoteFraction = float64(remote) / float64(accesses)
 	}
-	return res, l
-}
-
-// CheckResult reports the invariant check of VerifyExclusion.
-type CheckResult struct {
-	Violations int
-	TotalOps   int64
-}
-
-// VerifyExclusion runs the workload with a critical section that checks
-// the reader-writer exclusion invariant. Host-memory counters are safe
-// here because simulated threads execute one at a time; a Work call
-// inside the critical section opens an interleaving window so that a
-// broken lock would be caught.
-func VerifyExclusion(f Factory, mcfg sim.Config, threads int, readFraction float64, opsPerThread int, seed uint64) CheckResult {
-	m := sim.New(mcfg)
-	l := f.New(m, threads)
-	var readers, writers, violations int
-	for i := 0; i < threads; i++ {
-		p := l.NewProc(i)
-		rng := xrand.New(seed + uint64(i)*0x51AF9E3 + 7)
-		m.Spawn(func(c *sim.Ctx) {
-			for j := 0; j < opsPerThread; j++ {
-				if rng.Bool(readFraction) {
-					p.RLock(c)
-					readers++
-					if writers != 0 {
-						violations++
-					}
-					c.Work(20) // interleaving window
-					if writers != 0 {
-						violations++
-					}
-					readers--
-					p.RUnlock(c)
-				} else {
-					p.Lock(c)
-					writers++
-					if writers != 1 || readers != 0 {
-						violations++
-					}
-					c.Work(20)
-					if writers != 1 || readers != 0 {
-						violations++
-					}
-					writers--
-					p.Unlock(c)
-				}
-			}
-		})
-	}
-	m.Run()
-	return CheckResult{
-		Violations: violations,
-		TotalOps:   int64(threads) * int64(opsPerThread),
-	}
+	return res
 }
 
 // LatencyStats summarizes acquisition latency for one kind of
@@ -261,80 +203,6 @@ func latencyStatsOf(h *obs.Histogram) LatencyStats {
 		P99:   h.Quantile(0.99),
 		Max:   h.Max(),
 	}
-}
-
-// LatencyResult extends Result with per-kind acquisition latency — the
-// fairness side of the throughput coin: reader preference (ROLL) buys
-// read throughput at the price of writer waiting time, FIFO (FOLL)
-// bounds writer latency. The paper reports only throughput; this is the
-// complementary measurement.
-type LatencyResult struct {
-	Result
-	Read, Write LatencyStats
-}
-
-// RunLatencyExperiment is RunExperiment plus per-kind acquisition
-// latency accounting.
-func RunLatencyExperiment(f Factory, mcfg sim.Config, threads int, readFraction float64, opsPerThread int, seed uint64) LatencyResult {
-	if threads <= 0 || opsPerThread <= 0 {
-		panic("simlock: threads and opsPerThread must be positive")
-	}
-	m := sim.New(mcfg)
-	l := f.New(m, threads)
-	// Host-side histograms are safe: simulated threads execute one at a
-	// time, so each histogram has a single writer at any instant.
-	var readHist, writeHist obs.Histogram
-	for i := 0; i < threads; i++ {
-		p := l.NewProc(i)
-		rng := xrand.New(seed + uint64(i)*0x9E3779B9 + 1)
-		m.Spawn(func(c *sim.Ctx) {
-			for j := 0; j < opsPerThread; j++ {
-				t0 := c.Now()
-				if rng.Bool(readFraction) {
-					p.RLock(c)
-					readHist.Record(c.Now() - t0)
-					p.RUnlock(c)
-				} else {
-					p.Lock(c)
-					writeHist.Record(c.Now() - t0)
-					p.Unlock(c)
-				}
-			}
-		})
-	}
-	cycles := m.Run()
-	out := LatencyResult{
-		Result: Result{
-			Lock:         f.Name,
-			Threads:      threads,
-			ReadFraction: readFraction,
-			OpsPerThread: opsPerThread,
-			TotalOps:     int64(threads) * int64(opsPerThread),
-			Cycles:       cycles,
-		},
-	}
-	if cycles > 0 {
-		out.Throughput = float64(out.TotalOps) / (float64(cycles) / sim.ClockHz)
-	}
-	out.Read = latencyStatsOf(&readHist)
-	out.Write = latencyStatsOf(&writeHist)
-	return out
-}
-
-// SweepResult is a lock's curve over thread counts at one read fraction.
-type SweepResult struct {
-	Lock         string
-	ReadFraction float64
-	Points       []Result
-}
-
-// Sweep runs RunExperiment for every thread count.
-func Sweep(f Factory, mcfg sim.Config, threadCounts []int, readFraction float64, opsPerThread int, seed uint64) SweepResult {
-	out := SweepResult{Lock: f.Name, ReadFraction: readFraction}
-	for _, n := range threadCounts {
-		out.Points = append(out.Points, RunExperiment(f, mcfg, n, readFraction, opsPerThread, seed))
-	}
-	return out
 }
 
 // String renders one result row.
